@@ -30,9 +30,9 @@
 //!                         # export snapshot + flight trace to DIR
 //!          --mega         # run the sweep on the megasession executor
 //!                         # (fingerprints identical to per-cell)
-//!          --sched heap|wheel    # event-scheduler implementation (default wheel;
-//!                                # fingerprints are identical either way)
 //! ```
+//!
+//! Any other option is rejected with exit status 2.
 //!
 //! `--obs` turns the workspace-wide instrumentation (and the flight
 //! recorder) on for the run and writes `metrics.json` / `spans.json` /
@@ -211,7 +211,11 @@ fn main() {
     if raw.first().is_none_or(|a| a.starts_with("--")) {
         raw.insert(0, "run".to_string());
     }
-    let args = match Args::parse(raw) {
+    let known = [
+        "smoke", "scaling", "faults", "threads", "duration", "kmax", "seeds", "intensity",
+        "transport", "trace", "out", "obs", "mega",
+    ];
+    let args = match Args::parse(raw).and_then(|a| a.reject_unknown(&known).map(|()| a)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -225,19 +229,10 @@ fn main() {
             "error: unexpected argument '{}' — this binary takes options only \
              (--smoke, --scaling, --faults, --threads N, --duration S, --kmax a,b, \
              --seeds a,b, --intensity a,b, --transport rap,bbr,nada,tcp, \
-             --trace lte,bloat,diurnal,bonded, --out DIR, --obs DIR)",
+             --trace lte,bloat,diurnal,bonded, --out DIR, --obs DIR, --mega)",
             args.command
         );
         std::process::exit(2);
-    }
-    if let Some(raw) = args.options.get("sched") {
-        match raw.parse::<laqa_sim::SchedulerKind>() {
-            Ok(kind) => laqa_sim::set_ambient_scheduler(kind),
-            Err(e) => {
-                eprintln!("error: --sched {raw}: {e}");
-                std::process::exit(2);
-            }
-        }
     }
     let obs_dir = args.options.get("obs").map(std::path::PathBuf::from);
     if obs_dir.is_some() {
@@ -296,8 +291,8 @@ fn export_obs(dir: &std::path::Path) -> Result<(), AnyError> {
 
 type AnyError = Box<dyn std::error::Error>;
 
-/// Run the sweep on the executor `--mega` selects (per-cell warm by
-/// default, megasession with `--mega`) using the ambient scheduler.
+/// Run the sweep on the executor `--mega` selects (per-cell by default,
+/// megasession with `--mega`).
 fn run_sweep(args: &Args, spec: &CampaignSpec, threads: usize) -> CampaignResult {
     let mut opts = CampaignOptions::new(threads);
     if args.flag("mega") {

@@ -1,12 +1,13 @@
 //! `campaign_bench` — warm-world campaign executor baseline.
 //!
-//! Sweeps the campaign smoke grid across thread counts on cold vs. warm
-//! worlds under both scheduler kinds, cross-checks that every one of the
-//! `{cold, warm} × {threads} × {heap, wheel}` fingerprints is bit-identical
-//! (exiting non-zero on any divergence — warm pools and the geometry memo
-//! must be invisible to the simulation), probes steady-state allocations
-//! for a warm pool's second session, and writes `BENCH_campaign.json` at
-//! the repo root so campaign throughput is tracked in-tree.
+//! Sweeps the campaign smoke grid across thread counts on the product
+//! path (warm world pools on the timer wheel, per cell and, with
+//! `--mega`, on the megasession executor), checks every cell's
+//! fingerprint against the per-session oracle — fresh worlds on the
+//! reference heap scheduler, computed once and untimed — exiting non-zero
+//! on any divergence, probes steady-state allocations for a warm pool's
+//! successive sessions, and writes `BENCH_campaign.json` at the repo root
+//! so campaign throughput is tracked in-tree.
 //!
 //! ```text
 //! campaign_bench                   # full baseline (3 reps, best-of)
@@ -20,11 +21,13 @@
 //!          with --mega also gates the mega executor's events/sec and
 //!          the 64-session mega-vs-per-cell speedup ratio)
 //! ```
+//!
+//! Any other option is rejected with exit status 2.
 
 use laqa_bench::cli::Args;
 use laqa_sim::{
-    run_campaign_fold, run_campaign_opts, run_session_pooled, CampaignOptions, CampaignSpec,
-    SchedulerKind, SessionSpec, TestKind, Transport, WorldPool,
+    run_campaign_opts, run_session_pooled, run_session_with, CampaignOptions, CampaignResult,
+    CampaignSpec, SchedulerKind, SessionSpec, TestKind, Transport, WorldPool,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,13 +63,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 type AnyError = Box<dyn std::error::Error>;
 
-/// One measured cell: a (world mode, scheduler, thread count) triple.
+/// One measured cell: an (executor, thread count) pair.
 struct Cell {
     mode: &'static str,
     /// QA-flow congestion controller ("rap" for the whole gated grid;
     /// other labels only appear in the interop probe's cells).
     transport: &'static str,
-    sched: SchedulerKind,
     threads: usize,
     /// Workers the executor actually spawned: `threads` clamped to the
     /// session count and the host's available parallelism.
@@ -95,7 +97,6 @@ fn measure_rep(spec: &CampaignSpec, opts: CampaignOptions, mode: &'static str) -
     Cell {
         mode,
         transport: "rap",
-        sched: opts.sched,
         threads: opts.threads,
         threads_effective: result.threads,
         fingerprint: result.fingerprint(),
@@ -118,8 +119,7 @@ fn measure(spec: &CampaignSpec, opts: CampaignOptions, mode: &'static str, reps:
             Some(prev) => {
                 assert_eq!(
                     prev.fingerprint, cell.fingerprint,
-                    "{mode}/{}/t{}: rep-to-rep divergence",
-                    opts.sched.label(),
+                    "{mode}/t{}: rep-to-rep divergence",
                     opts.threads
                 );
                 if cell.wall_secs < prev.wall_secs {
@@ -283,7 +283,7 @@ fn steady_state_allocs(duration: f64) -> (u64, u64, u64) {
     let mut pool = WorldPool::new();
     let mut session = || {
         let a0 = ALLOCS.load(Ordering::Relaxed);
-        let _ = run_session_pooled(&spec, SchedulerKind::Wheel, &mut pool);
+        let _ = run_session_pooled(&spec, &mut pool);
         ALLOCS.load(Ordering::Relaxed) - a0
     };
     let first = session();
@@ -390,57 +390,45 @@ fn run(args: &Args) -> Result<(), AnyError> {
     let seeds: [u64; 8] = [7, 21, 35, 49, 63, 77, 91, 105];
     let spec = CampaignSpec::grid(&[TestKind::T1], &[2, 4], &seeds, duration);
 
+    // The per-session oracle: fresh worlds on the heap scheduler, one
+    // session at a time, outside every timed region.
+    let fp0 = CampaignResult {
+        sessions: spec
+            .sessions
+            .iter()
+            .map(|s| run_session_with(s, SchedulerKind::Reference))
+            .collect(),
+        threads: 1,
+        wall_secs: 0.0,
+        merge_secs: 0.0,
+    }
+    .fingerprint();
+
     let mut cells: Vec<Cell> = Vec::new();
-    for &sched in SchedulerKind::ALL.iter() {
-        for &threads in &thread_counts {
-            let mut modes = vec![
-                ("cold", CampaignOptions::new(threads).sched(sched).cold()),
-                ("warm", CampaignOptions::new(threads).sched(sched)),
-            ];
-            if mega {
-                modes.push(("mega", CampaignOptions::new(threads).sched(sched).mega()));
-            }
-            for (mode, opts) in modes {
-                eprintln!(
-                    "measuring {mode}/{}/t{threads} ({} sessions, {reps} rep(s))...",
-                    sched.label(),
-                    spec.len()
-                );
-                cells.push(measure(&spec, opts, mode, reps));
-            }
+    for &threads in &thread_counts {
+        let mut modes = vec![("warm", CampaignOptions::new(threads))];
+        if mega {
+            modes.push(("mega", CampaignOptions::new(threads).mega()));
+        }
+        for (mode, opts) in modes {
+            eprintln!(
+                "measuring {mode}/t{threads} ({} sessions, {reps} rep(s))...",
+                spec.len()
+            );
+            cells.push(measure(&spec, opts, mode, reps));
         }
     }
 
-    // Fingerprint gate: every {mode, sched, threads} combination must
-    // reproduce the same campaign bit for bit.
-    let fp0 = cells[0].fingerprint;
+    // Fingerprint gate: every {mode, threads} cell must reproduce the
+    // oracle bit for bit.
     for c in &cells {
         if c.fingerprint != fp0 {
             return Err(format!(
-                "EXECUTOR DIVERGENCE: {}/{}/t{} fingerprint {:016x} != {:016x}",
-                c.mode,
-                c.sched.label(),
-                c.threads,
-                c.fingerprint,
-                fp0
+                "EXECUTOR DIVERGENCE: {}/t{} fingerprint {:016x} != oracle {:016x}",
+                c.mode, c.threads, c.fingerprint, fp0
             )
             .into());
         }
-    }
-
-    // The streaming fold must reproduce the full-mode fingerprint too.
-    let fold = run_campaign_fold(
-        &spec,
-        CampaignOptions::new(*thread_counts.iter().max().unwrap_or(&1)),
-        0u64,
-        |acc, r| *acc += r.events_processed,
-    );
-    if fold.fingerprint != fp0 {
-        return Err(format!(
-            "STREAMING DIVERGENCE: fold fingerprint {:016x} != full {:016x}",
-            fold.fingerprint, fp0
-        )
-        .into());
     }
 
     let (cold_first, warm_second, warm_third) = steady_state_allocs(duration);
@@ -532,14 +520,13 @@ fn run(args: &Args) -> Result<(), AnyError> {
     let hostile = hostile_probe(duration, reps)?;
 
     println!(
-        "{:<6} {:>6} {:>3} {:>12} {:>10} {:>12} {:>14} {:>10}",
-        "mode", "sched", "thr", "events", "wall (s)", "events/s", "allocs/sess", "merge (ms)"
+        "{:<6} {:>3} {:>12} {:>10} {:>12} {:>14} {:>10}",
+        "mode", "thr", "events", "wall (s)", "events/s", "allocs/sess", "merge (ms)"
     );
     for c in &cells {
         println!(
-            "{:<6} {:>6} {:>3} {:>12} {:>10.3} {:>12.0} {:>14} {:>10.3}",
+            "{:<6} {:>3} {:>12} {:>10.3} {:>12.0} {:>14} {:>10.3}",
             c.mode,
-            c.sched.label(),
             c.threads,
             c.events,
             c.wall_secs,
@@ -549,29 +536,18 @@ fn run(args: &Args) -> Result<(), AnyError> {
         );
     }
 
-    let find = |mode: &str, sched: SchedulerKind, threads: usize| -> Option<&Cell> {
+    let find = |mode: &str, threads: usize| -> Option<&Cell> {
         cells
             .iter()
-            .find(|c| c.mode == mode && c.sched == sched && c.threads == threads)
+            .find(|c| c.mode == mode && c.threads == threads)
     };
-    let base_threads = *thread_counts.first().unwrap_or(&1);
-    let warm_vs_cold = match (
-        find("warm", SchedulerKind::Wheel, base_threads),
-        find("cold", SchedulerKind::Wheel, base_threads),
-    ) {
-        (Some(w), Some(c)) => w.events_per_sec() / c.events_per_sec().max(1e-9),
-        _ => 1.0,
-    };
-    let agg_8_vs_1 = match (
-        find("warm", SchedulerKind::Wheel, 8),
-        find("warm", SchedulerKind::Wheel, 1),
-    ) {
+    let agg_8_vs_1 = match (find("warm", 8), find("warm", 1)) {
         (Some(w8), Some(w1)) => w8.events_per_sec() / w1.events_per_sec().max(1e-9),
         _ => 1.0,
     };
-    // Overall events/sec over the cold+warm cells only — the number every
-    // historical baseline's `--check` gate compares against; mega cells
-    // get their own aggregate below so the two gates stay independent.
+    // Overall events/sec over the per-cell (warm) cells — the number the
+    // `--check` gate compares against; mega cells get their own aggregate
+    // below so the two gates stay independent.
     let overall: f64 = {
         let base: Vec<&Cell> = cells.iter().filter(|c| c.mode != "mega").collect();
         let events: u64 = base.iter().map(|c| c.events).sum();
@@ -588,10 +564,7 @@ fn run(args: &Args) -> Result<(), AnyError> {
     // the two best reps can come from different thermal windows, which
     // is exactly the noise the pairing was built to cancel.
     let mega_vs_percell_64 = mega64.as_ref().map(|(_, _, r)| *r);
-    println!(
-        "warm/cold @{base_threads} thread(s) (wheel): {warm_vs_cold:.2}x; \
-         warm 8-vs-1 threads: {agg_8_vs_1:.2}x; overall {overall:.0} events/s"
-    );
+    println!("warm 8-vs-1 threads: {agg_8_vs_1:.2}x; overall {overall:.0} events/s");
     if let (Some(mo), Some(ratio)) = (mega_overall, mega_vs_percell_64) {
         println!(
             "mega executor: overall {mo:.0} events/s; \
@@ -745,9 +718,6 @@ fn run(args: &Args) -> Result<(), AnyError> {
             .join(", ")
     ));
     json.push_str(&format!(
-        "  \"speedup_warm_vs_cold_1thread\": {warm_vs_cold:.4},\n"
-    ));
-    json.push_str(&format!(
         "  \"speedup_warm_8_vs_1_threads\": {agg_8_vs_1:.4},\n"
     ));
     json.push_str(&format!("  \"events_per_sec_overall\": {overall:.1},\n"));
@@ -833,13 +803,12 @@ fn run(args: &Args) -> Result<(), AnyError> {
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"transport\": \"{}\", \"scheduler\": \"{}\", \
+            "    {{\"mode\": \"{}\", \"transport\": \"{}\", \
              \"threads\": {}, \"threads_effective\": {}, \
              \"events\": {}, \"wall_secs\": {:.6}, \"merge_secs\": {:.6}, \
              \"events_per_sec\": {:.1}, \"allocs_per_session\": {}}}{}\n",
             c.mode,
             c.transport,
-            c.sched.label(),
             c.threads,
             c.threads_effective,
             c.events,
@@ -861,7 +830,8 @@ fn main() {
     if raw.first().is_none_or(|a| a.starts_with("--")) {
         raw.insert(0, "run".to_string());
     }
-    let args = match Args::parse(raw) {
+    let known = ["smoke", "mega", "profile", "threads", "reps", "duration", "out", "check"];
+    let args = match Args::parse(raw).and_then(|a| a.reject_unknown(&known).map(|()| a)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");

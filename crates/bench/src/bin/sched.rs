@@ -1,16 +1,17 @@
 //! `sched` — event-scheduler baseline: heap oracle vs timer wheel.
 //!
 //! Drives the campaign smoke grid and the fault-suite sweep under both
-//! [`laqa_sim::SchedulerKind`]s, cross-checks that every fingerprint is
-//! bit-identical (exiting non-zero on any divergence), and reports
-//! events/sec and heap-allocation counts per scheduler. Results land in
-//! `BENCH_sched.json` at the repo root so the speedup is tracked in-tree.
+//! [`laqa_sim::SchedulerKind`]s, one fresh world per session on the
+//! calling thread (`run_session_with`), cross-checks that every
+//! fingerprint is bit-identical (exiting non-zero on any divergence), and
+//! reports events/sec and heap-allocation counts per scheduler. Results
+//! land in `BENCH_sched.json` at the repo root so the speedup is tracked
+//! in-tree.
 //!
 //! ```text
 //! sched                    # full baseline (3 reps per cell, best-of)
 //! sched --smoke            # 1 rep, shorter durations (CI wiring)
-//! options: --threads N (default 1: scheduler-bound timing)
-//!          --duration S  --reps N  --out FILE
+//! options: --duration S  --reps N  --out FILE
 //!          --kmax LIST (default 2,4)  --seeds LIST (default 7,21)
 //! ```
 //!
@@ -18,7 +19,7 @@
 //! bench trajectories are comparable across machines and configurations.
 
 use laqa_bench::cli::Args;
-use laqa_sim::{run_campaign_with, CampaignSpec, SchedulerKind, TestKind};
+use laqa_sim::{run_session_with, CampaignResult, CampaignSpec, SchedulerKind, TestKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -72,17 +73,22 @@ impl Cell {
     }
 }
 
-fn measure_rep(
-    workload: &'static str,
-    spec: &CampaignSpec,
-    sched: SchedulerKind,
-    threads: usize,
-) -> Cell {
+fn measure_rep(workload: &'static str, spec: &CampaignSpec, sched: SchedulerKind) -> Cell {
     let a0 = ALLOCS.load(Ordering::Relaxed);
     let b0 = ALLOC_BYTES.load(Ordering::Relaxed);
     let started = Instant::now();
-    let result = run_campaign_with(spec, threads, sched);
+    let sessions = spec
+        .sessions
+        .iter()
+        .map(|s| run_session_with(s, sched))
+        .collect();
     let wall_secs = started.elapsed().as_secs_f64();
+    let result = CampaignResult {
+        sessions,
+        threads: 1,
+        wall_secs,
+        merge_secs: 0.0,
+    };
     Cell {
         workload,
         sched,
@@ -98,23 +104,18 @@ fn measure_rep(
 /// rep so machine noise hits all of them equally, keeping the best wall
 /// time per scheduler. Reps must reproduce the same fingerprint bit for
 /// bit or the run aborts.
-fn measure(
-    workload: &'static str,
-    spec: &CampaignSpec,
-    threads: usize,
-    reps: usize,
-) -> Vec<Cell> {
+fn measure(workload: &'static str, spec: &CampaignSpec, reps: usize) -> Vec<Cell> {
     // One discarded warmup pass per scheduler: the first run after process
     // start pays page faults, allocator growth, and CPU frequency ramp,
     // which would otherwise land entirely on whichever scheduler happens
     // to be measured first.
     for &kind in SchedulerKind::ALL.iter() {
-        let _ = measure_rep(workload, spec, kind, threads);
+        let _ = measure_rep(workload, spec, kind);
     }
     let mut best: Vec<Option<Cell>> = SchedulerKind::ALL.iter().map(|_| None).collect();
     for _ in 0..reps.max(1) {
         for (slot, &kind) in best.iter_mut().zip(SchedulerKind::ALL.iter()) {
-            let cell = measure_rep(workload, spec, kind, threads);
+            let cell = measure_rep(workload, spec, kind);
             match slot {
                 Some(prev) => {
                     assert_eq!(
@@ -142,7 +143,6 @@ fn default_out() -> std::path::PathBuf {
 
 fn run(args: &Args) -> Result<(), AnyError> {
     let smoke = args.flag("smoke");
-    let threads: usize = args.get("threads", 1)?;
     let reps: usize = args.get("reps", if smoke { 1 } else { 3 })?;
     let duration: f64 = args.get("duration", if smoke { 4.0 } else { 8.0 })?;
     let k_values: Vec<u32> = args.get_list("kmax", &[2, 4])?;
@@ -162,10 +162,10 @@ fn run(args: &Args) -> Result<(), AnyError> {
     let mut cells: Vec<Cell> = Vec::new();
     for (name, spec) in workloads {
         eprintln!(
-            "measuring {name} ({} sessions, {reps} interleaved rep(s), {threads} thread(s))...",
+            "measuring {name} ({} sessions, {reps} interleaved rep(s))...",
             spec.len()
         );
-        cells.extend(measure(name, spec, threads, reps));
+        cells.extend(measure(name, spec, reps));
     }
 
     // Fingerprint gate: heap and wheel must agree per workload, bit for bit.
@@ -226,7 +226,6 @@ fn run(args: &Args) -> Result<(), AnyError> {
         .unwrap_or_else(default_out);
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"sched\",\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"reps\": {reps},\n"));
     json.push_str(&format!("  \"duration_secs\": {duration},\n"));
     let join = |v: Vec<String>| v.join(", ");
@@ -266,7 +265,8 @@ fn main() {
     if raw.first().is_none_or(|a| a.starts_with("--")) {
         raw.insert(0, "run".to_string());
     }
-    let args = match Args::parse(raw) {
+    let known = ["smoke", "duration", "reps", "out", "kmax", "seeds"];
+    let args = match Args::parse(raw).and_then(|a| a.reject_unknown(&known).map(|()| a)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -276,7 +276,7 @@ fn main() {
     if args.command != "run" {
         eprintln!(
             "error: unexpected argument '{}' — this binary takes options only \
-             (--smoke, --threads N, --duration S, --reps N, --out FILE)",
+             (--smoke, --duration S, --reps N, --out FILE, --kmax LIST, --seeds LIST)",
             args.command
         );
         std::process::exit(2);

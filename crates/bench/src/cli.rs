@@ -18,6 +18,8 @@ pub enum ArgError {
     MissingCommand,
     /// A positional argument appeared after options.
     UnexpectedPositional(String),
+    /// An option the command does not take (e.g. a mistyped `--thread`).
+    UnknownOption(String),
     /// An option value failed to parse.
     BadValue {
         /// Option name.
@@ -32,6 +34,7 @@ impl std::fmt::Display for ArgError {
         match self {
             ArgError::MissingCommand => write!(f, "missing subcommand"),
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument '{p}'"),
+            ArgError::UnknownOption(k) => write!(f, "unknown option --{k}"),
             ArgError::BadValue { key, value } => {
                 write!(f, "invalid value '{value}' for --{key}")
             }
@@ -62,6 +65,15 @@ impl Args {
             }
         }
         Ok(Args { command, options })
+    }
+
+    /// Reject any option not in `known`, so a mistyped option fails
+    /// instead of silently running with the default.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+        match self.options.keys().find(|k| !known.contains(&k.as_str())) {
+            Some(k) => Err(ArgError::UnknownOption(k.clone())),
+            None => Ok(()),
+        }
     }
 
     /// Typed option lookup with a default.
@@ -146,6 +158,17 @@ mod tests {
             parse("sim extra"),
             Err(ArgError::UnexpectedPositional(_))
         ));
+    }
+
+    #[test]
+    fn rejects_unknown_options() {
+        let a = parse("run --thread 8 --smoke").unwrap();
+        assert_eq!(
+            a.reject_unknown(&["threads", "smoke"]),
+            Err(ArgError::UnknownOption("thread".into()))
+        );
+        assert_eq!(a.reject_unknown(&["thread", "smoke"]), Ok(()));
+        assert_eq!(parse("run").unwrap().reject_unknown(&[]), Ok(()));
     }
 
     #[test]

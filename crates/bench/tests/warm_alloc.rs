@@ -24,8 +24,8 @@
 //! into the measurement.
 
 use laqa_sim::{
-    run_campaign_opts, run_session_pooled, run_session_with, CampaignOptions, CampaignSpec,
-    SchedulerKind, SessionSpec, TestKind, Transport, WorldPool,
+    run_campaign_opts, run_session_pooled, run_session_with, CampaignOptions, CampaignResult,
+    CampaignSpec, SchedulerKind, SessionSpec, TestKind, Transport, WorldPool,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,15 +81,15 @@ fn warm_and_mega_sessions_stay_under_alloc_budgets() {
     let mut pool = WorldPool::new();
 
     // Session 1: cold — pays world construction, registers memo keys.
-    let first = run_session_pooled(&spec, SchedulerKind::Wheel, &mut pool);
+    let first = run_session_pooled(&spec, &mut pool);
     assert!(pool.is_warm(), "pool must bank the retired world");
 
     // Session 2: warm but pays the memo's two-touch admission clones.
-    let second = run_session_pooled(&spec, SchedulerKind::Wheel, &mut pool);
+    let second = run_session_pooled(&spec, &mut pool);
 
     // Session 3: steady state — the guarded measurement.
     let a0 = ALLOCS.load(Ordering::Relaxed);
-    let third = run_session_pooled(&spec, SchedulerKind::Wheel, &mut pool);
+    let third = run_session_pooled(&spec, &mut pool);
     let warm_allocs = ALLOCS.load(Ordering::Relaxed) - a0;
 
     assert_eq!(
@@ -97,10 +97,10 @@ fn warm_and_mega_sessions_stay_under_alloc_budgets() {
         "same spec through the same pool must replay bit-identically"
     );
     assert_eq!(first.trace_hash, third.trace_hash);
-    let standalone = run_session_with(&spec, SchedulerKind::Wheel);
+    let standalone = run_session_with(&spec, SchedulerKind::Reference);
     assert_eq!(
         standalone.trace_hash, third.trace_hash,
-        "pooled session must match a cold standalone run"
+        "pooled session must match the per-session oracle"
     );
     let (hits, misses) = pool.geometry_stats();
     assert!(hits > 0, "repeated spec must hit the geometry memo");
@@ -138,20 +138,41 @@ fn warm_and_mega_sessions_stay_under_alloc_budgets() {
          (budget {MEGA_SESSION_ALLOC_BUDGET}); the mega/warm reuse path regressed"
     );
 
-    // Bench-path parity: the exact comparison BENCH_campaign.json makes.
-    // A warm per-cell campaign (pooled worlds, shared memo — the default)
-    // must not allocate more per session than the same grid run cold.
-    // Before PR 10 flattened memo admissions this was inverted (warm
-    // ~2 500 vs cold ~2 170 per session in the bench cells); the counts
-    // are deterministic, so an exact <= holds and gates the anomaly.
+    // Warm-vs-cold parity: a warm per-cell campaign (pooled worlds,
+    // shared memo) must not allocate more per session than the same grid
+    // run as fresh wheel worlds, one session at a time. Before PR 10
+    // flattened memo admissions this was inverted (warm ~2 500 vs cold
+    // ~2 170 per session); the counts are deterministic, so an exact <=
+    // holds and gates the anomaly.
     let parity = CampaignSpec::grid(&[TestKind::T1, TestKind::T2], &[2, 4], &[7, 21], 8.0);
     let w0 = ALLOCS.load(Ordering::Relaxed);
     let warm_campaign = run_campaign_opts(&parity, CampaignOptions::new(1));
     let warm_per_session = (ALLOCS.load(Ordering::Relaxed) - w0) / parity.len() as u64;
+    let cold_run = |sched| -> Vec<_> {
+        parity
+            .sessions
+            .iter()
+            .map(|s| run_session_with(s, sched))
+            .collect()
+    };
     let c0 = ALLOCS.load(Ordering::Relaxed);
-    let cold_campaign = run_campaign_opts(&parity, CampaignOptions::new(1).cold());
+    let cold = cold_run(SchedulerKind::Wheel);
     let cold_per_session = (ALLOCS.load(Ordering::Relaxed) - c0) / parity.len() as u64;
-    assert_eq!(warm_campaign.fingerprint(), cold_campaign.fingerprint());
+    let oracle = CampaignResult {
+        sessions: cold_run(SchedulerKind::Reference),
+        threads: 1,
+        wall_secs: 0.0,
+        merge_secs: 0.0,
+    };
+    assert_eq!(warm_campaign.fingerprint(), oracle.fingerprint());
+    for (w, c) in warm_campaign.sessions.iter().zip(&cold) {
+        assert_eq!(
+            w.trace_hash,
+            c.trace_hash,
+            "cold wheel diverged: {}",
+            w.spec.label()
+        );
+    }
     eprintln!(
         "warm_alloc: steady={warm_allocs} mega/session={mega_allocs_per_session} \
          campaign warm/session={warm_per_session} cold/session={cold_per_session}"

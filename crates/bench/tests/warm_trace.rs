@@ -9,14 +9,15 @@
 //!
 //! - engine-level: after salvage + rebuild, the recycled link carries no
 //!   trace state until the new session attaches one;
-//! - campaign-level: warm, cold, and mega executors produce
-//!   fingerprint-identical results on a mixed traced/untraced grid, in
-//!   both interleavings (traced-then-steady and steady-then-traced).
+//! - campaign-level: the per-cell and mega executors reproduce the
+//!   per-session oracle (cold worlds on the heap scheduler) on a mixed
+//!   traced/untraced grid, in both interleavings (traced-then-steady and
+//!   steady-then-traced).
 
 use laqa_sim::{
-    run_campaign_opts, run_session_pooled, run_session_with, CampaignOptions, CampaignSpec,
-    LinkConfig, SchedulerKind, SessionSpec, TestKind, TraceKind, TraceSchedule, Transport, World,
-    WorldPool,
+    run_campaign_opts, run_session_pooled, run_session_with, CampaignOptions, CampaignResult,
+    CampaignSpec, LinkConfig, SchedulerKind, SessionSpec, TestKind, TraceKind, TraceSchedule,
+    Transport, World, WorldPool,
 };
 
 fn spec(seed: u64, trace: Option<TraceKind>) -> SessionSpec {
@@ -40,7 +41,7 @@ fn recycled_link_shells_carry_no_trace_state() {
 
     // Rebuild from the salvage, exactly like a warm campaign worker.
     let salvage = w.salvage();
-    let mut w = World::with_salvage(21, SchedulerKind::Wheel, salvage);
+    let mut w = World::with_salvage(21, salvage);
     let link = w.add_link(LinkConfig::default());
     assert!(
         w.link_trace(link).is_none(),
@@ -59,10 +60,10 @@ fn traced_sessions_replay_identically_through_a_warm_pool() {
     // kind, then compare each against its cold standalone twin.
     let warm: Vec<u64> = [&traced, &steady, &traced, &steady, &traced]
         .iter()
-        .map(|s| run_session_pooled(s, SchedulerKind::Wheel, &mut pool).trace_hash)
+        .map(|s| run_session_pooled(s, &mut pool).trace_hash)
         .collect();
-    let cold_traced = run_session_with(&traced, SchedulerKind::Wheel).trace_hash;
-    let cold_steady = run_session_with(&steady, SchedulerKind::Wheel).trace_hash;
+    let cold_traced = run_session_with(&traced, SchedulerKind::Reference).trace_hash;
+    let cold_steady = run_session_with(&steady, SchedulerKind::Reference).trace_hash;
     assert_eq!(
         warm,
         vec![cold_traced, cold_steady, cold_traced, cold_steady, cold_traced],
@@ -79,7 +80,16 @@ fn hostile_campaign_fingerprints_agree_warm_cold_and_mega() {
     let grid = CampaignSpec { sessions };
 
     let warm = run_campaign_opts(&grid, CampaignOptions::new(1));
-    let cold = run_campaign_opts(&grid, CampaignOptions::new(1).cold());
+    let cold = CampaignResult {
+        sessions: grid
+            .sessions
+            .iter()
+            .map(|s| run_session_with(s, SchedulerKind::Reference))
+            .collect(),
+        threads: 1,
+        wall_secs: 0.0,
+        merge_secs: 0.0,
+    };
     let mega = run_campaign_opts(&grid, CampaignOptions::new(1).mega());
     assert_eq!(
         warm.fingerprint(),

@@ -17,30 +17,31 @@
 //! workers. Wall-clock fields are the one exception and are excluded from
 //! every fingerprint.
 //!
-//! **Warm worlds.** By default each worker keeps a [`WorldPool`]: the
-//! engine storage (scheduler slab, link ring buffers, agents vector) of
-//! every session it finishes is salvaged and recycled into the next one,
-//! and all its QA controllers share one geometry memo. This is purely an
-//! allocator optimisation — [`CampaignOptions::cold`] runs the identical
-//! simulation with fresh worlds and must produce the identical fingerprint
-//! (`laqa-bench campaign` gates this).
+//! **One product path.** Every worker keeps a [`WorldPool`] and runs its
+//! sessions on the timer wheel: the engine storage (scheduler slab, link
+//! ring buffers, agents vector) of every session it finishes is salvaged
+//! and recycled into the next one, and all its QA controllers share one
+//! geometry memo. [`CampaignOptions::mega`] only changes how a worker
+//! interleaves its sessions, per cell or on one [`MegaEngine`].
+//!
+//! **The oracle.** Pools, the wheel and mega interleaving are all
+//! invisible to the simulation. The reference every differential test
+//! compares a campaign against is a fresh world per session on the heap
+//! scheduler, `run_session_with(spec, SchedulerKind::Reference)`.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use laqa_core::metrics::QaEvent;
 use laqa_trace::{RunSummary, Table, TraceHasher};
 
-use crate::engine::World;
 use crate::faults::FaultPlan;
 use crate::mega::MegaEngine;
 use crate::scenarios::{
     build_scenario, extract_outcome, run_scenario_pooled, run_scenario_with, ScenarioConfig,
     ScenarioOutcome, TraceKind, Transport, WorldPool,
 };
-use crate::sched::{ambient_scheduler, SchedulerKind};
+use crate::sched::SchedulerKind;
 
 /// Which of the paper's dumbbell workloads a session runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -619,9 +620,9 @@ pub fn mean_recovery_secs(events: &[QaEvent]) -> Option<f64> {
 }
 
 /// Run one session to a result (synchronously, on the calling thread),
-/// using the ambient event-scheduler kind.
+/// on the timer wheel.
 pub fn run_session(spec: &SessionSpec) -> SessionResult {
-    run_session_with(spec, ambient_scheduler())
+    run_session_with(spec, SchedulerKind::Wheel)
 }
 
 /// Run one session on an explicit event-scheduler implementation. Every
@@ -637,13 +638,9 @@ pub fn run_session_with(spec: &SessionSpec, sched: SchedulerKind) -> SessionResu
 /// the pool's salvaged engine storage and shared geometry memo are reused
 /// and this session's world is banked back for the next call. Every
 /// fingerprinted field is identical to [`run_session_with`].
-pub fn run_session_pooled(
-    spec: &SessionSpec,
-    sched: SchedulerKind,
-    pool: &mut WorldPool,
-) -> SessionResult {
+pub fn run_session_pooled(spec: &SessionSpec, pool: &mut WorldPool) -> SessionResult {
     let started = Instant::now();
-    let out = run_scenario_pooled(&spec.scenario(), sched, pool);
+    let out = run_scenario_pooled(&spec.scenario(), pool);
     outcome_to_result(spec, out, started.elapsed().as_secs_f64())
 }
 
@@ -677,8 +674,8 @@ fn outcome_to_result(spec: &SessionSpec, out: ScenarioOutcome, wall_secs: f64) -
     }
 }
 
-/// Run the sweep on `threads` worker threads (clamped to at least 1),
-/// using the ambient event-scheduler kind.
+/// Run the sweep on `threads` worker threads (clamped to at least 1) on
+/// the per-cell executor.
 ///
 /// Workers steal session indices from a shared atomic counter — no
 /// per-thread pre-partitioning, so a slow session never idles the other
@@ -686,18 +683,7 @@ fn outcome_to_result(spec: &SessionSpec, out: ScenarioOutcome, wall_secs: f64) -
 /// grid index. The returned order (and every fingerprint) is therefore
 /// identical for any thread count.
 pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> CampaignResult {
-    run_campaign_with(spec, threads, ambient_scheduler())
-}
-
-/// [`run_campaign`] on an explicit event-scheduler implementation. The
-/// campaign fingerprint is bit-identical for every `sched` and every
-/// thread count.
-pub fn run_campaign_with(
-    spec: &CampaignSpec,
-    threads: usize,
-    sched: SchedulerKind,
-) -> CampaignResult {
-    run_campaign_opts(spec, CampaignOptions::new(threads).sched(sched))
+    run_campaign_opts(spec, CampaignOptions::new(threads))
 }
 
 /// How a campaign executes. Everything here is invisible to the simulated
@@ -706,12 +692,6 @@ pub fn run_campaign_with(
 pub struct CampaignOptions {
     /// Worker threads (clamped to `[1, sessions]` at run time).
     pub threads: usize,
-    /// Event-scheduler implementation every session runs on.
-    pub sched: SchedulerKind,
-    /// Keep a warm [`WorldPool`] per worker (the default). `false` builds
-    /// every session's world from scratch — the cold baseline the bench
-    /// compares against.
-    pub warm: bool,
     /// Multiplex each worker's sessions on one [`MegaEngine`] instead of
     /// running them one world at a time. Purely an executor choice: every
     /// fingerprint is bit-identical to the per-cell path (the mega
@@ -731,28 +711,14 @@ pub struct CampaignOptions {
 }
 
 impl CampaignOptions {
-    /// Defaults: ambient scheduler, warm world pools, per-cell executor.
+    /// Defaults: per-cell executor.
     pub fn new(threads: usize) -> Self {
         CampaignOptions {
             threads,
-            sched: ambient_scheduler(),
-            warm: true,
             mega: false,
             mega_chunk: 32,
             mega_slice: None,
         }
-    }
-
-    /// Select the event-scheduler implementation.
-    pub fn sched(mut self, sched: SchedulerKind) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// Disable world reuse (cold worlds).
-    pub fn cold(mut self) -> Self {
-        self.warm = false;
-        self
     }
 
     /// Multiplex each worker's sessions on one [`MegaEngine`].
@@ -799,7 +765,7 @@ fn worker_loop(
     if opts.mega {
         return mega_worker_loop(spec, opts, worker, next, deposit);
     }
-    let mut pool = opts.warm.then(WorldPool::new);
+    let mut pool = WorldPool::new();
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(session) = spec.sessions.get(i) else {
@@ -811,10 +777,7 @@ fn worker_loop(
             // grid index, regardless of which worker stole it.
             laqa_obs::flight::set_session(i as u64);
         }
-        let result = match pool.as_mut() {
-            Some(pool) => run_session_pooled(session, opts.sched, pool),
-            None => run_session_with(session, opts.sched),
-        };
+        let result = run_session_pooled(session, &mut pool);
         laqa_obs::event!(
             laqa_obs::Level::Debug,
             "campaign.cell",
@@ -829,18 +792,20 @@ fn worker_loop(
 }
 
 /// Megasession worker: steal a *chunk* of session indices, build every
-/// world in the chunk, admit them all into this worker's persistent
-/// [`MegaEngine`] at the same global start time, run the whole batch on
-/// the one shared event queue, then extract, retire and deposit each
-/// session. The engine (and its banked session queues) survives across
-/// chunks, so steady-state chunks recycle all engine storage.
+/// world in the chunk from this worker's [`WorldPool`], admit them all
+/// into its persistent [`MegaEngine`] at the same global start time, run
+/// the whole batch, then extract, retire and deposit each session. Each
+/// session keeps its own event queue inside the engine; retiring a chunk
+/// banks the sessions' storage back into the pool, so steady-state
+/// chunks recycle all engine storage.
 ///
-/// Per-session trajectories are bit-identical to the per-cell executor —
-/// sessions share only the event queue, and the queue's `(time, seq)`
-/// total order preserves each session's private dispatch order (see the
-/// equivalence argument in [`crate::mega`]). Wall-clock is measured per
-/// chunk and apportioned to sessions by their share of dispatched events,
-/// since individual sessions no longer run contiguously.
+/// Per-session trajectories are bit-identical to the per-cell executor
+/// and to the per-session oracle: sessions share no mutable state, so
+/// interleaving only decides when a session's fixed event sequence runs
+/// (see the equivalence argument in [`crate::mega`]). Wall-clock is
+/// measured per chunk and apportioned to sessions by their share of
+/// dispatched events, since individual sessions no longer run
+/// contiguously.
 fn mega_worker_loop(
     spec: &CampaignSpec,
     opts: CampaignOptions,
@@ -848,8 +813,8 @@ fn mega_worker_loop(
     next: &AtomicUsize,
     mut deposit: impl FnMut(usize, SessionResult),
 ) {
-    let mut pool = opts.warm.then(WorldPool::new);
-    let mut engine = MegaEngine::with_scheduler(opts.sched);
+    let mut pool = WorldPool::new();
+    let mut engine = MegaEngine::new();
     if let Some(slice) = opts.mega_slice {
         engine.set_service_slice(slice);
     }
@@ -868,12 +833,8 @@ fn mega_worker_loop(
         for i in lo..hi {
             laqa_obs::counter!("campaign.steals").inc();
             let cfg = spec.sessions[i].scenario();
-            let world = match pool.as_mut().and_then(WorldPool::take_salvage) {
-                Some(salvage) => World::with_salvage(cfg.seed, opts.sched, salvage),
-                None => World::with_scheduler(cfg.seed, opts.sched),
-            };
-            let geometry = pool.as_ref().and_then(WorldPool::geometry);
-            let (mut world, handles) = build_scenario(&cfg, world, geometry);
+            let world = pool.world(cfg.seed);
+            let (mut world, handles) = build_scenario(&cfg, world, pool.geometry());
             // Same track id as the per-cell executor uses, so flight
             // timelines line up across executors.
             world.set_flight_id(i as u64);
@@ -904,10 +865,7 @@ fn mega_worker_loop(
                 "wall_ms" => result.wall_secs * 1e3,
                 "events" => result.events_processed,
             );
-            let salvage = engine.retire(sid);
-            if let Some(pool) = pool.as_mut() {
-                pool.bank_salvage(salvage);
-            }
+            pool.bank_salvage(engine.retire(sid));
             deposit(i, result);
         }
     }
@@ -918,7 +876,7 @@ fn mega_worker_loop(
 /// their own private buffers — no shared lock anywhere on the hot path —
 /// and a deterministic index-ordered merge assembles the final vector
 /// after the last worker exits. The fingerprint is bit-identical for
-/// every thread count, scheduler kind, and warm/cold setting.
+/// every thread count and executor.
 pub fn run_campaign_opts(spec: &CampaignSpec, opts: CampaignOptions) -> CampaignResult {
     let threads = effective_threads(opts.threads, spec.sessions.len());
     let started = Instant::now();
@@ -961,99 +919,6 @@ pub fn run_campaign_opts(spec: &CampaignSpec, opts: CampaignOptions) -> Campaign
         threads,
         wall_secs,
         merge_secs: merge_started.elapsed().as_secs_f64(),
-    }
-}
-
-/// Result of a streaming [`run_campaign_fold`] sweep.
-#[derive(Debug, Clone)]
-pub struct CampaignFold<A> {
-    /// The fold accumulator after every session was applied in grid order.
-    pub acc: A,
-    /// Same 64-bit digest [`CampaignResult::fingerprint`] would have
-    /// produced for this sweep — bit-identical to the full-result mode.
-    pub fingerprint: u64,
-    /// Sessions executed (== the spec's length).
-    pub sessions_run: usize,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_secs: f64,
-}
-
-/// Reorder buffer behind [`run_campaign_fold`]: results arrive in steal
-/// order but are folded strictly by grid index, so the accumulator and the
-/// incremental fingerprint see the same sequence a single-threaded run
-/// would. Out-of-order results wait in `pending` — at most one in-flight
-/// session per other worker (one *chunk* per worker under the mega
-/// executor), so memory stays bounded by `threads × mega_chunk` rather
-/// than the grid size.
-struct FoldState<A> {
-    next_emit: usize,
-    pending: BTreeMap<usize, SessionResult>,
-    acc: A,
-    hasher: TraceHasher,
-}
-
-/// Streaming/bounded-memory campaign execution: instead of materialising
-/// every [`SessionResult`], fold each one into `acc` in strict grid order
-/// and keep only the accumulator. The returned fingerprint is
-/// bit-identical to [`CampaignResult::fingerprint`] on the same spec (the
-/// replay suite pins this), so grids too large to hold in memory still
-/// verify against full-mode runs.
-pub fn run_campaign_fold<A, F>(
-    spec: &CampaignSpec,
-    opts: CampaignOptions,
-    init: A,
-    fold: F,
-) -> CampaignFold<A>
-where
-    A: Send,
-    F: Fn(&mut A, SessionResult) + Sync,
-{
-    let threads = effective_threads(opts.threads, spec.sessions.len());
-    let started = Instant::now();
-    let next = AtomicUsize::new(0);
-    let mut hasher = TraceHasher::new();
-    hasher.u64(spec.sessions.len() as u64);
-    let state = Mutex::new(FoldState {
-        next_emit: 0,
-        pending: BTreeMap::new(),
-        acc: init,
-        hasher,
-    });
-
-    laqa_obs::gauge!("campaign.threads").set(threads as f64);
-    std::thread::scope(|scope| {
-        let (next, state, fold) = (&next, &state, &fold);
-        for worker in 0..threads {
-            scope.spawn(move || {
-                worker_loop(spec, opts, worker, next, |i, result| {
-                    let mut st = state.lock().expect("campaign fold lock");
-                    st.pending.insert(i, result);
-                    while let Some(ready) = {
-                        let at = st.next_emit;
-                        st.pending.remove(&at)
-                    } {
-                        ready.fingerprint_into(&mut st.hasher);
-                        fold(&mut st.acc, ready);
-                        st.next_emit += 1;
-                    }
-                });
-            });
-        }
-    });
-
-    let state = state.into_inner().expect("campaign fold lock");
-    assert!(
-        state.pending.is_empty() && state.next_emit == spec.sessions.len(),
-        "fold executor finished with unconsumed results"
-    );
-    CampaignFold {
-        acc: state.acc,
-        fingerprint: state.hasher.finish(),
-        sessions_run: state.next_emit,
-        threads,
-        wall_secs: started.elapsed().as_secs_f64(),
     }
 }
 
@@ -1120,7 +985,18 @@ mod tests {
     #[test]
     fn mega_executor_matches_per_cell_fingerprints() {
         let spec = tiny_spec();
+        let oracle = CampaignResult {
+            sessions: spec
+                .sessions
+                .iter()
+                .map(|s| run_session_with(s, SchedulerKind::Reference))
+                .collect(),
+            threads: 1,
+            wall_secs: 0.0,
+            merge_secs: 0.0,
+        };
         let per_cell = run_campaign_opts(&spec, CampaignOptions::new(1));
+        assert_eq!(oracle.fingerprint(), per_cell.fingerprint());
         for threads in [1, 4] {
             for chunk in [1, 32] {
                 let mega = run_campaign_opts(
@@ -1128,7 +1004,7 @@ mod tests {
                     CampaignOptions::new(threads).mega().mega_chunk(chunk),
                 );
                 assert_eq!(
-                    per_cell.fingerprint(),
+                    oracle.fingerprint(),
                     mega.fingerprint(),
                     "mega executor diverged at threads={threads} chunk={chunk}"
                 );

@@ -9,7 +9,7 @@
 
 use crate::link::{Link, LinkConfig, LinkStats};
 use crate::packet::{AgentId, LinkId, Packet};
-use crate::sched::{ambient_scheduler, AnyScheduler, Scheduler, SchedulerKind};
+use crate::sched::{AnyScheduler, Scheduler, SchedulerKind};
 use crate::time::{ns_to_secs, secs_to_ns, tx_time_ns};
 use crate::rng::SimRng;
 use std::any::Any;
@@ -114,10 +114,6 @@ impl EventQueue {
     #[inline]
     pub(crate) fn peek_next(&mut self) -> Option<(u64, u64)> {
         self.sched.peek_next()
-    }
-
-    pub(crate) fn kind(&self) -> SchedulerKind {
-        self.sched.kind()
     }
 
     pub(crate) fn reserve(&mut self, additional: usize) {
@@ -328,10 +324,9 @@ pub struct World {
 }
 
 impl World {
-    /// New world with a deterministic RNG seed, using the ambient
-    /// scheduler kind (see [`crate::sched::ambient_scheduler`]).
+    /// New world with a deterministic RNG seed, on the timer wheel.
     pub fn new(seed: u64) -> Self {
-        Self::with_scheduler(seed, ambient_scheduler())
+        Self::with_scheduler(seed, SchedulerKind::Wheel)
     }
 
     /// New world with an explicit event-scheduler implementation. The
@@ -347,21 +342,16 @@ impl World {
     }
 
     /// New world recycling the storage of a retired one (see
-    /// [`World::salvage`]). The salvaged scheduler is reused only when its
-    /// kind matches `kind`; trajectory-relevant state (time, seq, RNG,
-    /// uid counter, event counter) always starts fresh from `seed`.
-    pub fn with_salvage(seed: u64, kind: SchedulerKind, salvage: WorldSalvage) -> Self {
+    /// [`World::salvage`]), on the salvaged world's scheduler.
+    /// Trajectory-relevant state (time, seq, RNG, uid counter, event
+    /// counter) always starts fresh from `seed`.
+    pub fn with_salvage(seed: u64, salvage: WorldSalvage) -> Self {
         let WorldSalvage {
             queue,
             links,
             mut spare_links,
             agents,
         } = salvage;
-        let queue = if queue.kind() == kind {
-            queue
-        } else {
-            EventQueue::new(kind)
-        };
         // `links` arrives emptied with capacity; the shells live in
         // `spare_links`. A mismatched topology is harmless — leftover
         // shells are dropped with the world, missing ones are allocated.
@@ -401,11 +391,6 @@ impl World {
             spare_links,
             agents,
         }
-    }
-
-    /// Which event-scheduler implementation this world runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.kind()
     }
 
     /// Add a link; returns its id. Reuses a salvaged link shell when one

@@ -38,9 +38,9 @@ pub mod agents {
 }
 
 pub use campaign::{
-    hash_outcome, run_campaign, run_campaign_fold, run_campaign_opts, run_campaign_with,
-    run_session, run_session_pooled, run_session_with, CampaignFold, CampaignOptions,
-    CampaignResult, CampaignSpec, SessionResult, SessionSpec, TestKind,
+    hash_outcome, run_campaign, run_campaign_opts, run_session, run_session_pooled,
+    run_session_with, CampaignOptions, CampaignResult, CampaignSpec, SessionResult, SessionSpec,
+    TestKind,
 };
 pub use engine::{Agent, Ctx, World, WorldSalvage};
 pub use faults::{FaultInjector, FaultPlan, FaultStats, FaultWiring};
@@ -54,8 +54,7 @@ pub use scenarios::{
     run_scenarios_mega_staggered, ScenarioConfig, ScenarioOutcome, TraceKind, Transport, WorldPool,
 };
 pub use sched::{
-    ambient_scheduler, set_ambient_scheduler, AnyScheduler, EventKey, HeapScheduler, Scheduler,
-    SchedulerKind, TimerWheelScheduler,
+    AnyScheduler, EventKey, HeapScheduler, Scheduler, SchedulerKind, TimerWheelScheduler,
 };
 pub use stats::{jain_fairness, summarize_sharing, SharingSummary};
 pub use topology::{Dumbbell, DumbbellConfig};

@@ -45,7 +45,6 @@ use crate::engine::{
 };
 use crate::link::{LinkConfig, LinkStats};
 use crate::packet::{AgentId, LinkId};
-use crate::sched::{ambient_scheduler, SchedulerKind};
 use crate::time::{ns_to_secs, secs_to_ns};
 
 /// Default service slice: how much simulated time one session is run
@@ -159,7 +158,6 @@ pub struct MegaEngine {
     /// Global clock (nanoseconds). Session-local time is
     /// `now_ns - hot[slot].offset_ns`.
     now_ns: u64,
-    kind: SchedulerKind,
     table: SessionTable,
     /// Service quantum in simulated nanoseconds (see [`DEFAULT_SLICE_NS`]
     /// and [`MegaEngine::set_service_slice`]).
@@ -175,28 +173,17 @@ pub struct MegaEngine {
 }
 
 impl MegaEngine {
-    /// New empty engine on the ambient scheduler kind.
+    /// New empty engine. Each admitted session keeps the event queue of
+    /// the world it was built in (see [`MegaEngine::add_world`]).
     pub fn new() -> Self {
-        Self::with_scheduler(ambient_scheduler())
-    }
-
-    /// New empty engine on an explicit scheduler kind. As with solo
-    /// worlds, the kind changes wall-clock speed only, never results.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
         MegaEngine {
             now_ns: 0,
-            kind,
             table: SessionTable::default(),
             slice_ns: DEFAULT_SLICE_NS,
             events_hint: 0,
             token_recycles: 0,
             live_count: 0,
         }
-    }
-
-    /// Which event-scheduler implementation the sessions' queues run on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.kind
     }
 
     /// Current global simulation time (seconds).
@@ -271,15 +258,10 @@ impl MegaEngine {
         );
         let World {
             core,
-            queue,
+            mut queue,
             agents,
             ..
         } = world;
-        let mut queue = if queue.kind() == self.kind {
-            queue
-        } else {
-            EventQueue::new(self.kind)
-        };
         if self.events_hint > 0 {
             queue.reserve(self.events_hint);
         }
@@ -582,7 +564,7 @@ mod tests {
     /// A two-agent ping world whose trajectory depends on the seed (loss
     /// draws) — enough signal to detect any cross-session bleed.
     fn ping_world(seed: u64, count: u32) -> (World, AgentId) {
-        let mut w = World::with_scheduler(seed, SchedulerKind::Wheel);
+        let mut w = World::new(seed);
         let l = w.add_link(LinkConfig {
             bandwidth: 80_000.0,
             delay: 0.004,
@@ -609,7 +591,7 @@ mod tests {
 
     #[test]
     fn multiplexed_sessions_match_isolated_runs() {
-        let mut engine = MegaEngine::with_scheduler(SchedulerKind::Wheel);
+        let mut engine = MegaEngine::new();
         let mut sids = Vec::new();
         for seed in [3u64, 7, 11, 42] {
             let (w, sink) = ping_world(seed, 40);
@@ -638,7 +620,7 @@ mod tests {
         // slice, and an infinite slice (run each session to the bound in
         // one go) all reproduce the isolated trajectories.
         for slice in [0.0, 0.001, f64::INFINITY] {
-            let mut engine = MegaEngine::with_scheduler(SchedulerKind::Wheel);
+            let mut engine = MegaEngine::new();
             engine.set_service_slice(slice);
             let mut sids = Vec::new();
             for seed in [3u64, 7, 11] {
@@ -702,7 +684,7 @@ mod tests {
         let salvage = engine.retire(sid);
         assert_eq!(engine.sessions_live(), 0);
         // The salvage is usable for a warm solo world.
-        let mut w2 = World::with_salvage(5, SchedulerKind::Wheel, salvage);
+        let mut w2 = World::with_salvage(5, salvage);
         assert_eq!(w2.events_processed(), 0);
         w2.run_until(0.1);
     }
@@ -787,30 +769,6 @@ mod tests {
             .arrivals
             .clone();
         assert_eq!(long, solo_arrivals(4, 1_000, 2.0));
-    }
-
-    #[test]
-    fn engine_agrees_across_scheduler_kinds() {
-        let run = |kind: SchedulerKind| {
-            let mut engine = MegaEngine::with_scheduler(kind);
-            let mut sids = Vec::new();
-            for seed in [1u64, 2, 3] {
-                let (w, sink) = ping_world(seed, 60);
-                sids.push((engine.add_world(w, 0.2 * seed as f64, 2.0), sink));
-            }
-            engine.run_until(3.0);
-            sids.iter()
-                .map(|&(sid, sink)| {
-                    engine
-                        .session(sid)
-                        .agent::<Sink>(sink)
-                        .unwrap()
-                        .arrivals
-                        .clone()
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(SchedulerKind::Reference), run(SchedulerKind::Wheel));
     }
 
     #[test]

@@ -302,10 +302,10 @@ pub struct ScenarioOutcome {
     pub bond_leg: Option<LinkStats>,
 }
 
-/// Build and run a scenario, returning the collected outcome. Uses the
-/// ambient event-scheduler kind (see [`crate::sched::ambient_scheduler`]).
+/// Build and run a scenario on the timer wheel, returning the collected
+/// outcome.
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
-    run_scenario_with(cfg, crate::sched::ambient_scheduler())
+    run_scenario_with(cfg, SchedulerKind::Wheel)
 }
 
 /// Build and run a scenario on an explicit event-scheduler
@@ -322,27 +322,23 @@ pub fn run_scenario_with(cfg: &ScenarioConfig, sched: SchedulerKind) -> Scenario
 /// — including its [`crate::campaign::hash_outcome`] fingerprint — is
 /// bit-identical to [`run_scenario_with`] on the same config;
 /// `tests/mega_differential.rs` pins this.
-pub fn run_scenarios_mega(cfgs: &[ScenarioConfig], sched: SchedulerKind) -> Vec<ScenarioOutcome> {
+pub fn run_scenarios_mega(cfgs: &[ScenarioConfig]) -> Vec<ScenarioOutcome> {
     let staggered: Vec<(ScenarioConfig, f64)> =
         cfgs.iter().map(|cfg| (cfg.clone(), 0.0)).collect();
-    run_scenarios_mega_staggered(&staggered, sched)
+    run_scenarios_mega_staggered(&staggered)
 }
 
 /// [`run_scenarios_mega`] with a per-session global start offset
 /// (seconds): session `i` begins its local time zero at `offset_i`. The
 /// offset shifts when the session runs, never what it computes — each
 /// outcome stays bit-identical to an isolated [`run_scenario_with`].
-pub fn run_scenarios_mega_staggered(
-    cfgs: &[(ScenarioConfig, f64)],
-    sched: SchedulerKind,
-) -> Vec<ScenarioOutcome> {
-    let mut engine = MegaEngine::with_scheduler(sched);
+pub fn run_scenarios_mega_staggered(cfgs: &[(ScenarioConfig, f64)]) -> Vec<ScenarioOutcome> {
+    let mut engine = MegaEngine::new();
     engine.reserve(cfgs.len(), cfgs.len() * 64);
     let mut admitted = Vec::with_capacity(cfgs.len());
     let mut t_end = 0.0f64;
     for (i, (cfg, offset)) in cfgs.iter().enumerate() {
-        let world = World::with_scheduler(cfg.seed, sched);
-        let (mut world, handles) = build_scenario(cfg, world, None);
+        let (mut world, handles) = build_scenario(cfg, World::new(cfg.seed), None);
         // Flight-recorder track = input index, matching how the campaign
         // executors label cells by grid index.
         world.set_flight_id(i as u64);
@@ -358,15 +354,15 @@ pub fn run_scenarios_mega_staggered(
 }
 
 /// Warm per-worker world state: salvaged engine storage of sessions this
-/// worker already ran plus a shared QA geometry memo. One pool lives on
-/// each campaign worker thread; from its second session onward the
-/// scheduler slab, link ring buffers and agents vector are recycled and
-/// geometry derivations hit the memo, which is where the warm-world
-/// speedup comes from. Results are bit-identical to the cold path — the
-/// pool is invisible to the simulation (pinned by replay tests and the
-/// `laqa-bench campaign` fingerprint gate). The bank holds multiple
-/// salvages because a mega worker retires a whole chunk of sessions at
-/// once before building the next chunk.
+/// worker already ran plus a shared QA geometry memo. Every campaign
+/// worker owns one; from its second session onward the scheduler slab,
+/// link ring buffers and agents vector are recycled and geometry
+/// derivations hit the memo. The pool is invisible to the simulation:
+/// results are bit-identical to a fresh world per session on the
+/// reference heap scheduler, the per-session oracle that
+/// `tests/replay.rs` and `tests/pinned_digests.rs` compare against. The
+/// bank holds multiple salvages because a mega worker retires a whole
+/// chunk of sessions at once before building the next chunk.
 #[derive(Default)]
 pub struct WorldPool {
     salvages: Vec<WorldSalvage>,
@@ -395,9 +391,13 @@ impl WorldPool {
         !self.salvages.is_empty()
     }
 
-    /// Withdraw one banked salvage, if any (LIFO).
-    pub(crate) fn take_salvage(&mut self) -> Option<WorldSalvage> {
-        self.salvages.pop()
+    /// A fresh world for `seed`, built from the last banked salvage when
+    /// there is one (LIFO).
+    pub(crate) fn world(&mut self, seed: u64) -> World {
+        match self.salvages.pop() {
+            Some(salvage) => World::with_salvage(seed, salvage),
+            None => World::new(seed),
+        }
     }
 
     /// Bank a retired world's storage for the next session.
@@ -415,15 +415,8 @@ impl WorldPool {
 /// engine storage and shared geometry memo, then banking this session's
 /// world back into the pool. Bit-identical outcome to
 /// [`run_scenario_with`].
-pub fn run_scenario_pooled(
-    cfg: &ScenarioConfig,
-    sched: SchedulerKind,
-    pool: &mut WorldPool,
-) -> ScenarioOutcome {
-    let world = match pool.take_salvage() {
-        Some(salvage) => World::with_salvage(cfg.seed, sched, salvage),
-        None => World::with_scheduler(cfg.seed, sched),
-    };
+pub fn run_scenario_pooled(cfg: &ScenarioConfig, pool: &mut WorldPool) -> ScenarioOutcome {
+    let world = pool.world(cfg.seed);
     let (outcome, world) = run_scenario_core(cfg, world, pool.geometry());
     pool.bank_salvage(world.salvage());
     outcome

@@ -26,8 +26,6 @@
 use crate::arena::Slab;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Handle to a scheduled event, for cancellation.
 ///
@@ -726,42 +724,6 @@ impl<T: PartialEq> Scheduler<T> for AnyScheduler<T> {
             AnyScheduler::Wheel(s) => s.reset(),
         }
     }
-}
-
-/// Ambient default used by [`crate::engine::World::new`]:
-/// 0 = unset (read `LAQA_SCHED` once), 1 = Reference, 2 = Wheel.
-static AMBIENT: AtomicU8 = AtomicU8::new(0);
-static ENV_KIND: OnceLock<SchedulerKind> = OnceLock::new();
-
-fn env_kind() -> SchedulerKind {
-    *ENV_KIND.get_or_init(|| {
-        std::env::var("LAQA_SCHED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_default()
-    })
-}
-
-/// The ambient scheduler kind new worlds are built with: whatever
-/// [`set_ambient_scheduler`] last installed, else the `LAQA_SCHED`
-/// environment variable (`heap` or `wheel`), else [`SchedulerKind::Wheel`].
-pub fn ambient_scheduler() -> SchedulerKind {
-    match AMBIENT.load(Ordering::Relaxed) {
-        1 => SchedulerKind::Reference,
-        2 => SchedulerKind::Wheel,
-        _ => env_kind(),
-    }
-}
-
-/// Override the ambient scheduler kind process-wide (differential
-/// harnesses flip this between runs; per-world control is
-/// [`crate::engine::World::with_scheduler`]).
-pub fn set_ambient_scheduler(kind: SchedulerKind) {
-    let v = match kind {
-        SchedulerKind::Reference => 1,
-        SchedulerKind::Wheel => 2,
-    };
-    AMBIENT.store(v, Ordering::Relaxed);
 }
 
 #[cfg(test)]

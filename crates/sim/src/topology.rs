@@ -4,7 +4,6 @@
 use crate::engine::World;
 use crate::link::{LinkConfig, QueueKind};
 use crate::packet::{LinkId, Route};
-use crate::sched::{ambient_scheduler, SchedulerKind};
 
 /// Dumbbell parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,15 +64,9 @@ pub struct Dumbbell {
 }
 
 impl Dumbbell {
-    /// Create the shared links in a fresh world (ambient scheduler kind).
+    /// Create the shared links in a fresh world.
     pub fn new(cfg: DumbbellConfig, seed: u64) -> Self {
-        Self::with_scheduler(cfg, seed, ambient_scheduler())
-    }
-
-    /// Create the shared links in a fresh world driven by an explicit
-    /// event-scheduler implementation.
-    pub fn with_scheduler(cfg: DumbbellConfig, seed: u64, kind: SchedulerKind) -> Self {
-        Self::with_world(cfg, World::with_scheduler(seed, kind))
+        Self::with_world(cfg, World::new(seed))
     }
 
     /// Create the shared links in a caller-supplied world — the hook the

@@ -1,17 +1,20 @@
 //! Differential replay: the megasession engine must be observationally
 //! indistinguishable from per-world runs.
 //!
-//! Every test runs the same workloads once through isolated `World`s and
+//! Every test runs the same workloads once through the per-session
+//! oracle — an isolated `World` on the reference heap scheduler — and
 //! once multiplexed on a shared [`laqa_sim::MegaEngine`] (via the
 //! `run_scenarios_mega*` helpers or the campaign mega executor) and
-//! requires bit-identical per-session trace fingerprints. The per-world
-//! path is the oracle — it is the original engine kept verbatim — so any
-//! divergence is a multiplexing bug (cross-session state bleed, event
-//! misordering, RNG stream sharing), not a tolerance question. Covered
-//! surface: the goldens' scenario configs (T1/T2 across `K_max`), the
-//! fault suite across intensities, staggered global start times, and the
-//! threaded campaign grid under every combination of scheduler kind,
-//! warm/cold pools and steal-chunk size.
+//! requires bit-identical per-session trace fingerprints. The oracle is
+//! the original engine kept verbatim, so any divergence is a
+//! multiplexing bug (cross-session state bleed, event misordering, RNG
+//! stream sharing), not a tolerance question. Covered surface: the
+//! goldens' scenario configs (T1/T2 across `K_max`), the fault suite
+//! across intensities, staggered global start times, and the threaded
+//! campaign grid across thread counts, steal-chunk sizes and service
+//! slices.
+
+mod common;
 
 use laqa_sim::campaign::{run_campaign_opts, CampaignOptions, CampaignSpec, TestKind};
 use laqa_sim::faults::FaultPlan;
@@ -20,28 +23,23 @@ use laqa_sim::{
     ScenarioConfig, SchedulerKind,
 };
 
-/// Run every config isolated and all of them multiplexed on one engine
-/// (under both scheduler kinds) and assert identical outcome hashes
-/// session by session.
+/// Run every config on the oracle and all of them multiplexed on one
+/// engine, and assert identical outcome hashes session by session.
 fn assert_mega_agrees(cfgs: &[ScenarioConfig], what: &str) {
-    for kind in SchedulerKind::ALL {
-        let mega = run_scenarios_mega(cfgs, kind);
-        assert_eq!(mega.len(), cfgs.len());
-        for (i, (cfg, out)) in cfgs.iter().zip(&mega).enumerate() {
-            let solo = run_scenario_with(cfg, kind);
-            assert_eq!(
-                hash_outcome(&solo),
-                hash_outcome(out),
-                "{what} session {i} under {}: mega trace diverged from per-world oracle",
-                kind.label()
-            );
-            assert_eq!(
-                solo.events_processed, out.events_processed,
-                "{what} session {i} under {}: event counts diverged",
-                kind.label()
-            );
-            assert_eq!(solo.fault_stats, out.fault_stats);
-        }
+    let mega = run_scenarios_mega(cfgs);
+    assert_eq!(mega.len(), cfgs.len());
+    for (i, (cfg, out)) in cfgs.iter().zip(&mega).enumerate() {
+        let solo = run_scenario_with(cfg, SchedulerKind::Reference);
+        assert_eq!(
+            hash_outcome(&solo),
+            hash_outcome(out),
+            "{what} session {i}: mega trace diverged from per-world oracle"
+        );
+        assert_eq!(
+            solo.events_processed, out.events_processed,
+            "{what} session {i}: event counts diverged"
+        );
+        assert_eq!(solo.fault_stats, out.fault_stats);
     }
 }
 
@@ -87,50 +85,36 @@ fn staggered_starts_do_not_change_any_session() {
         (ScenarioConfig::t1(2, 8.0, 21), 0.35),
         (ScenarioConfig::t2(2, 9.0, 7), 1.2),
     ];
-    for kind in SchedulerKind::ALL {
-        let staggered = run_scenarios_mega_staggered(&cfgs, kind);
-        for (i, ((cfg, offset), out)) in cfgs.iter().zip(&staggered).enumerate() {
-            let solo = run_scenario_with(cfg, kind);
-            assert_eq!(
-                hash_outcome(&solo),
-                hash_outcome(out),
-                "session {i} at offset {offset} under {} diverged",
-                kind.label()
-            );
-        }
+    let staggered = run_scenarios_mega_staggered(&cfgs);
+    for (i, ((cfg, offset), out)) in cfgs.iter().zip(&staggered).enumerate() {
+        let solo = run_scenario_with(cfg, SchedulerKind::Reference);
+        assert_eq!(
+            hash_outcome(&solo),
+            hash_outcome(out),
+            "session {i} at offset {offset} diverged"
+        );
     }
 }
 
 #[test]
 fn campaign_smoke_grid_agrees_across_executors() {
-    // The full cross product: {per-cell, mega} × {cold, warm} ×
-    // {1, 8} threads × both schedulers × steal-chunk sizes must give one
-    // fingerprint. Chunk 1 degenerates to one-session-at-a-time batches
-    // (maximum engine reuse churn); chunk 32 swallows the whole grid into
-    // a single batch per worker.
+    // The mega executor at {1, 8} threads × steal-chunk sizes must give
+    // the oracle's fingerprint. Chunk 1 degenerates to one-session-at-a-
+    // time batches (maximum engine reuse churn); chunk 32 swallows the
+    // whole grid into a single batch per worker.
     let spec = CampaignSpec::grid(&[TestKind::T1, TestKind::T2], &[2, 4], &[7, 21], 6.0);
-    let reference = run_campaign_opts(&spec, CampaignOptions::new(1).cold());
-    let fp = reference.fingerprint();
-    for kind in SchedulerKind::ALL {
-        for threads in [1, 8] {
-            for warm in [false, true] {
-                for chunk in [1, 5, 32] {
-                    let mut opts = CampaignOptions::new(threads)
-                        .sched(kind)
-                        .mega()
-                        .mega_chunk(chunk);
-                    if !warm {
-                        opts = opts.cold();
-                    }
-                    let got = run_campaign_opts(&spec, opts);
-                    assert_eq!(
-                        got.fingerprint(),
-                        fp,
-                        "mega campaign diverged under {} threads={threads} warm={warm} chunk={chunk}",
-                        kind.label()
-                    );
-                }
-            }
+    let fp = common::oracle(&spec).fingerprint();
+    for threads in [1, 8] {
+        for chunk in [1, 5, 32] {
+            let got = run_campaign_opts(
+                &spec,
+                CampaignOptions::new(threads).mega().mega_chunk(chunk),
+            );
+            assert_eq!(
+                got.fingerprint(),
+                fp,
+                "mega campaign diverged with threads={threads} chunk={chunk}"
+            );
         }
     }
 }
@@ -140,27 +124,21 @@ fn service_slice_sweep_agrees_across_executors() {
     // PR 10's sliced service loop: how long the engine stays on one hot
     // session before re-scanning the hot column is pure scheduling
     // policy, so every slice — one-event-per-visit (0.0) through
-    // run-to-completion (infinite) — must reproduce the cold per-cell
-    // fingerprint, under both schedulers and with work-stealing workers.
+    // run-to-completion (infinite) — must reproduce the oracle's
+    // fingerprint, with work-stealing workers too.
     let spec = CampaignSpec::grid(&[TestKind::T1, TestKind::T2], &[2, 4], &[7, 21], 6.0);
-    let fp = run_campaign_opts(&spec, CampaignOptions::new(1).cold()).fingerprint();
-    for kind in SchedulerKind::ALL {
-        for threads in [1, 8] {
-            for slice in [0.0, 0.002, f64::INFINITY] {
-                let got = run_campaign_opts(
-                    &spec,
-                    CampaignOptions::new(threads)
-                        .sched(kind)
-                        .mega()
-                        .mega_slice(slice),
-                );
-                assert_eq!(
-                    got.fingerprint(),
-                    fp,
-                    "mega campaign diverged under {} threads={threads} slice={slice}",
-                    kind.label()
-                );
-            }
+    let fp = common::oracle(&spec).fingerprint();
+    for threads in [1, 8] {
+        for slice in [0.0, 0.002, f64::INFINITY] {
+            let got = run_campaign_opts(
+                &spec,
+                CampaignOptions::new(threads).mega().mega_slice(slice),
+            );
+            assert_eq!(
+                got.fingerprint(),
+                fp,
+                "mega campaign diverged with threads={threads} slice={slice}"
+            );
         }
     }
 }

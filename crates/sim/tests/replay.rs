@@ -6,9 +6,10 @@
 //! session computes*, because every session owns its seed-derived RNG and
 //! results land in spec-order slots.
 
+mod common;
+
 use laqa_sim::{
-    run_campaign, run_campaign_fold, run_campaign_opts, run_session, CampaignOptions,
-    CampaignSpec, TestKind,
+    run_campaign, run_campaign_opts, run_session, CampaignOptions, CampaignSpec, TestKind,
 };
 
 fn sweep() -> CampaignSpec {
@@ -114,18 +115,16 @@ fn empty_campaign_runs_to_an_empty_result() {
     assert_eq!(r.threads, 1, "an empty sweep still clamps to one worker");
     // The fingerprint of emptiness is still well-defined and stable.
     assert_eq!(r.fingerprint(), run_campaign(&spec, 1).fingerprint());
-    let folded = run_campaign_fold(&spec, CampaignOptions::new(4), 0usize, |n, _| *n += 1);
-    assert_eq!(folded.acc, 0);
-    assert_eq!(folded.fingerprint, r.fingerprint());
 }
 
 #[test]
 fn warm_and_cold_worlds_replay_identically() {
     // The warm-world pool (engine salvage + geometry memo) is pure
-    // allocator recycling: against cold per-session worlds the campaign
-    // must be bit-identical, across thread counts.
+    // allocator recycling: against the per-session oracle (cold worlds on
+    // the heap scheduler) the campaign must be bit-identical, across
+    // thread counts.
     let spec = sweep();
-    let cold = run_campaign_opts(&spec, CampaignOptions::new(1).cold());
+    let cold = common::oracle(&spec);
     let warm = run_campaign_opts(&spec, CampaignOptions::new(1));
     assert_eq!(cold.fingerprint(), warm.fingerprint());
     let warm4 = run_campaign_opts(&spec, CampaignOptions::new(4));
@@ -133,23 +132,6 @@ fn warm_and_cold_worlds_replay_identically() {
     for (a, b) in cold.sessions.iter().zip(&warm.sessions) {
         assert_eq!(a.trace_hash, b.trace_hash, "warm diverged: {}", a.spec.label());
     }
-}
-
-#[test]
-fn streaming_fold_matches_full_fingerprint_in_grid_order() {
-    let spec = sweep();
-    let full = run_campaign(&spec, 1);
-    let folded = run_campaign_fold(
-        &spec,
-        CampaignOptions::new(8),
-        Vec::new(),
-        |labels: &mut Vec<String>, r| labels.push(r.spec.label()),
-    );
-    assert_eq!(folded.fingerprint, full.fingerprint());
-    assert_eq!(folded.sessions_run, spec.len());
-    // The fold saw sessions in grid order regardless of steal order.
-    let expected: Vec<String> = spec.sessions.iter().map(|s| s.label()).collect();
-    assert_eq!(folded.acc, expected);
 }
 
 #[test]

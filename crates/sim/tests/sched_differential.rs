@@ -6,9 +6,12 @@
 //! the oracle — it is the original engine queue kept verbatim — so any
 //! divergence is a wheel ordering bug, not a tolerance question. Covered
 //! surface: the goldens' scenario configs (T1/T2 across `K_max`), the
-//! fault suite across intensities, and the threaded campaign grid.
+//! fault suite across intensities, and the threaded campaign grid, whose
+//! wheel runs are checked against the per-session heap oracle.
 
-use laqa_sim::campaign::{run_campaign_with, CampaignSpec, TestKind};
+mod common;
+
+use laqa_sim::campaign::{run_campaign, CampaignSpec, TestKind};
 use laqa_sim::faults::FaultPlan;
 use laqa_sim::{hash_outcome, run_scenario_with, ScenarioConfig, SchedulerKind};
 
@@ -64,31 +67,27 @@ fn fault_suite_agrees_between_schedulers_across_intensities() {
 
 #[test]
 fn campaign_grid_agrees_between_schedulers_and_thread_counts() {
-    // The full cross product: 2 schedulers × {1, 2, 8} threads must give
-    // one fingerprint. This pins both invariants at once — scheduler
+    // The campaign on the wheel at {1, 2, 8} threads must give the heap
+    // oracle's fingerprint. This pins both invariants at once — scheduler
     // independence and thread-count independence — and guards their
     // interaction (per-thread worlds each build their own scheduler).
     let spec = CampaignSpec::grid(&[TestKind::T1, TestKind::T2], &[2, 4], &[7, 21], 6.0);
-    let reference = run_campaign_with(&spec, 1, SchedulerKind::Reference);
-    let fp = reference.fingerprint();
-    for kind in SchedulerKind::ALL {
-        for threads in [1, 2, 8] {
-            let got = run_campaign_with(&spec, threads, kind);
-            assert_eq!(
-                got.fingerprint(),
-                fp,
-                "campaign fingerprint diverged under {} with {threads} threads",
-                kind.label()
-            );
-        }
+    let fp = common::oracle(&spec).fingerprint();
+    for threads in [1, 2, 8] {
+        let got = run_campaign(&spec, threads);
+        assert_eq!(
+            got.fingerprint(),
+            fp,
+            "campaign fingerprint diverged from the heap oracle with {threads} threads"
+        );
     }
 }
 
 #[test]
 fn faulted_campaign_agrees_between_schedulers() {
     let spec = CampaignSpec::faults_grid(&[TestKind::T1], &[2], &[0.0, 1.0], &[7], 12.0);
-    let heap = run_campaign_with(&spec, 2, SchedulerKind::Reference);
-    let wheel = run_campaign_with(&spec, 2, SchedulerKind::Wheel);
+    let heap = common::oracle(&spec);
+    let wheel = run_campaign(&spec, 2);
     assert_eq!(heap.fingerprint(), wheel.fingerprint());
     for (a, b) in heap.sessions.iter().zip(&wheel.sessions) {
         assert_eq!(a.trace_hash, b.trace_hash, "cell {} diverged", a.spec.label());

@@ -3,14 +3,16 @@
 //! A trace-driven cell is only usable as a regression anchor if its
 //! fingerprint survives every executor and scheduler choice. This suite
 //! runs a hostile grid — every [`TraceKind`] including the bonded
-//! two-path cell — through {heap, wheel} × {warm, cold, mega} × {1, 8
-//! threads} and demands cell-by-cell trace-hash equality, then composes
-//! the full-intensity fault suite on top of an LTE/bufferbloat trace and
-//! demands the run both survives and replays bit-identically.
+//! two-path cell — through the per-cell and mega executors at {1, 8}
+//! threads and demands cell-by-cell trace-hash equality with the
+//! per-session heap oracle, then composes the full-intensity fault suite
+//! on top of an LTE/bufferbloat trace and demands the run both survives
+//! and replays bit-identically.
+
+mod common;
 
 use laqa_sim::{
-    run_campaign_opts, CampaignOptions, CampaignSpec, SchedulerKind, SessionResult, TestKind,
-    TraceKind, Transport,
+    run_campaign_opts, CampaignOptions, CampaignSpec, SessionResult, TestKind, TraceKind, Transport,
 };
 
 fn hostile_spec(duration: f64, fault_intensity: Option<f64>) -> CampaignSpec {
@@ -37,7 +39,7 @@ fn hostile_grid_is_invariant_across_schedulers_executors_and_threads() {
     let spec = hostile_spec(6.0, None);
     assert_eq!(spec.sessions.len(), TraceKind::ALL.len());
 
-    let baseline = run_campaign_opts(&spec, CampaignOptions::new(1));
+    let baseline = common::oracle(&spec);
     for s in &baseline.sessions {
         assert!(
             s.trace_changes > 0,
@@ -47,26 +49,23 @@ fn hostile_grid_is_invariant_across_schedulers_executors_and_threads() {
     }
     let want = cell_hashes(&baseline.sessions);
 
-    for sched in [SchedulerKind::Reference, SchedulerKind::Wheel] {
-        for threads in [1usize, 8] {
-            let variants: [(&str, CampaignOptions); 3] = [
-                ("warm", CampaignOptions::new(threads).sched(sched)),
-                ("cold", CampaignOptions::new(threads).sched(sched).cold()),
-                ("mega", CampaignOptions::new(threads).sched(sched).mega()),
-            ];
-            for (name, opts) in variants {
-                let got = run_campaign_opts(&spec, opts);
-                assert_eq!(
-                    cell_hashes(&got.sessions),
-                    want,
-                    "{sched:?}/{name}/{threads} threads diverged cell-by-cell"
-                );
-                assert_eq!(
-                    got.fingerprint(),
-                    baseline.fingerprint(),
-                    "{sched:?}/{name}/{threads} threads: campaign fingerprint drifted"
-                );
-            }
+    for threads in [1usize, 8] {
+        let variants: [(&str, CampaignOptions); 2] = [
+            ("per-cell", CampaignOptions::new(threads)),
+            ("mega", CampaignOptions::new(threads).mega()),
+        ];
+        for (name, opts) in variants {
+            let got = run_campaign_opts(&spec, opts);
+            assert_eq!(
+                cell_hashes(&got.sessions),
+                want,
+                "{name}/{threads} threads diverged cell-by-cell"
+            );
+            assert_eq!(
+                got.fingerprint(),
+                baseline.fingerprint(),
+                "{name}/{threads} threads: campaign fingerprint drifted"
+            );
         }
     }
 }

@@ -60,7 +60,8 @@ echo "fault campaign replays bit-identically: $fault_fp_a"
 echo "== 7/13 scheduler differential harness + bench smoke =="
 # The timer wheel must replay every workload bit-identically to the
 # BinaryHeap reference oracle (crates/sim/tests/sched_differential.rs),
-# and the perf harness re-checks fingerprint agreement while measuring.
+# and the perf harness, which times heap against wheel one fresh world
+# per session, re-checks fingerprint agreement while measuring.
 # Throughput is recorded into BENCH_sched.json for trend tracking, not
 # gated — only fingerprint divergence fails this step (the bench exits
 # non-zero on any heap/wheel mismatch).
@@ -68,22 +69,22 @@ cargo test -q --release -p laqa-sim --test sched_differential
 cargo run --release -p laqa-bench --bin sched -- --smoke \
   --out target/bench-sched-smoke.json
 
-echo "== 8/13 warm-world campaign executor bench + regression gate =="
-# Sweeps {cold,warm} x {heap,wheel} x {1,2,8,16} threads over one grid and
-# exits non-zero unless every cell reproduces the same fingerprint bit for
-# bit (including the streaming run_campaign_fold cross-check), or if
-# overall events/sec dropped >20% against the checked-in baseline.
+echo "== 8/13 campaign executor bench + regression gate =="
+# Sweeps the product path (warm world pools on the timer wheel) over
+# {1,2,8,16} threads on one grid and exits non-zero unless every cell
+# reproduces the per-session oracle's fingerprint (fresh worlds on the
+# heap scheduler, computed once, untimed) bit for bit, or if overall
+# events/sec dropped >20% against the checked-in baseline.
 # --out is redirected so the smoke run never clobbers BENCH_campaign.json.
 cargo run --release -p laqa-bench --bin campaign_bench -- --smoke \
   --check BENCH_campaign.json --out target/bench-campaign-smoke.json
 
 echo "== 9/13 megasession differential harness + mega bench gate =="
-# Every scenario multiplexed on the shared-wheel MegaEngine must replay
-# bit-identically to its isolated per-world run
-# (crates/sim/tests/mega_differential.rs), and the campaign bench re-runs
-# the executor sweep with mega cells: fingerprint divergence between the
-# mega and per-cell executors, or a >20% mega events/sec regression
-# against the checked-in baseline, fails the step.
+# Every scenario multiplexed on a MegaEngine must replay bit-identically
+# to its per-session oracle run (crates/sim/tests/mega_differential.rs),
+# and the campaign bench re-runs the executor sweep with mega cells:
+# a mega cell diverging from the oracle fingerprint, or a >20% mega
+# events/sec regression against the checked-in baseline, fails the step.
 cargo test -q --release -p laqa-sim --test mega_differential
 cargo run --release -p laqa-bench --bin campaign_bench -- --smoke --mega \
   --check BENCH_campaign.json --out target/bench-campaign-mega-smoke.json
