@@ -234,6 +234,10 @@ fn main() {
         );
         std::process::exit(2);
     }
+    if let Err(e) = validate(&args) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let obs_dir = args.options.get("obs").map(std::path::PathBuf::from);
     if obs_dir.is_some() {
         laqa_obs::set_enabled(true);
@@ -322,6 +326,30 @@ where
             })
             .collect(),
     }
+}
+
+/// Reject option values that would otherwise run zero-length sessions
+/// or panic inside a worker: a `--duration` that is not a finite positive
+/// number of seconds, a `--kmax` entry of 0 (K_max is at least 1), or an
+/// `--intensity` outside [0, 1]. Runs before any worker is spawned.
+fn validate(args: &Args) -> Result<(), AnyError> {
+    if let Some(raw) = args.options.get("duration") {
+        let duration: f64 = args.get("duration", 0.0)?;
+        if !(duration.is_finite() && duration > 0.0) {
+            return Err(
+                format!("--duration must be a finite number of seconds > 0, got '{raw}'").into(),
+            );
+        }
+    }
+    let k_values: Vec<u32> = parse_list(args, "kmax", &[])?;
+    if k_values.contains(&0) {
+        return Err("--kmax entries must be >= 1 (K_max is the smoothing factor)".into());
+    }
+    let intensities: Vec<f64> = parse_list(args, "intensity", &[])?;
+    if let Some(i) = intensities.iter().find(|i| !(0.0..=1.0).contains(*i)) {
+        return Err(format!("--intensity entries must lie in [0, 1], got {i}").into());
+    }
+    Ok(())
 }
 
 /// Assert the sweep reproduces bit-identically on a different thread count.
@@ -602,4 +630,48 @@ fn cmd_tables(args: &Args) -> Result<(), AnyError> {
         result.wall_secs,
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(line: &str) -> Result<(), String> {
+        let args = Args::parse(line.split_whitespace().map(String::from)).unwrap();
+        validate(&args).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn rejects_degenerate_durations() {
+        for d in ["nan", "inf", "-inf", "-3", "0"] {
+            let err = check(&format!("run --smoke --duration {d}")).unwrap_err();
+            assert!(err.contains("--duration"), "{d}: {err}");
+        }
+        assert!(check("run --faults --duration banana").is_err());
+        assert!(check("run --smoke --duration 8").is_ok());
+    }
+
+    #[test]
+    fn rejects_zero_kmax() {
+        for k in ["0", "2,0"] {
+            let err = check(&format!("run --faults --kmax {k}")).unwrap_err();
+            assert!(err.contains("--kmax"), "{k}: {err}");
+        }
+        assert!(check("run --faults --kmax 2,3").is_ok());
+    }
+
+    #[test]
+    fn rejects_intensity_outside_unit_interval() {
+        for i in ["nan", "-1", "1.5", "0,inf"] {
+            let err = check(&format!("run --faults --intensity {i}")).unwrap_err();
+            assert!(err.contains("--intensity"), "{i}: {err}");
+        }
+        assert!(check("run --faults --intensity 0,0.5,1").is_ok());
+    }
+
+    #[test]
+    fn defaults_pass_validation() {
+        assert!(check("run").is_ok());
+        assert!(check("run --faults --smoke").is_ok());
+    }
 }

@@ -236,11 +236,14 @@ fn print_profile(snap: &laqa_obs::Snapshot) {
         );
     }
     // Geometry-memo effectiveness: hits avoid a full state-path rebuild;
-    // admissions are the clones the warm path pays for them.
+    // admissions are the copies the warm path pays for them, and
+    // evictions the admissions that refilled a full memo's CLOCK victim
+    // in place.
     let geo = [
         "qa.geometry_cache.hits",
         "qa.geometry_cache.misses",
         "qa.geometry_cache.admissions",
+        "qa.geometry_cache.evictions",
     ];
     let lookups: u64 = geo[..2]
         .iter()
@@ -265,11 +268,12 @@ fn probe_quantile(hists: &[laqa_obs::HistogramSnapshot], name: &str, q: f64) -> 
 }
 
 /// Steady-state probe: allocations charged to a warm pool's successive
-/// sessions. The first pays world construction; the second still pays the
-/// geometry memo's two-touch admission clones (every key now on its
-/// second miss); from the third on, engine storage is recycled and every
-/// repeated derivation hits the memo. The third session is the number
-/// `crates/bench/tests/warm_alloc.rs` budgets.
+/// sessions. The first pays world construction; the second pays the
+/// geometry memo's two-touch admissions (every key now on its second
+/// miss), which allocate slot buffers until the 64-slot memo is full; from
+/// the third on, engine storage is recycled, repeated derivations hit the
+/// memo, and admissions refill evicted slots in place. The third session
+/// is the number `crates/bench/tests/warm_alloc.rs` budgets.
 fn steady_state_allocs(duration: f64) -> (u64, u64, u64) {
     let spec = SessionSpec {
         test: TestKind::T1,

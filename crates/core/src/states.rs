@@ -302,14 +302,15 @@ struct GeoKey {
     decrease_factor_bits: u64,
 }
 
-/// Flattened, immutable copy of a derived [`StateSequence`] as stored in
-/// the memo: per-state metadata plus one contiguous buffer holding every
-/// state's raw and clamped per-layer targets. Admitting an entry costs
-/// two allocations, where cloning the full `StateSequence` would pin two
-/// fresh `Vec`s per state — the difference is what pushed warm campaign
-/// cells above the cold baseline's allocs/session before PR 10 (the
-/// `warm_alloc` budgets gate it now).
-#[derive(Debug)]
+/// Flattened copy of a derived [`StateSequence`] as stored in one memo
+/// slot: per-state metadata plus one contiguous buffer holding every
+/// state's raw and clamped per-layer targets — two buffers per entry, where
+/// cloning the full `StateSequence` would pin two fresh `Vec`s per state
+/// (the `warm_alloc` budgets gate the difference). When the memo evicts a
+/// key, the slot's entry is refilled in place
+/// ([`fill_from`](Self::fill_from)), so both buffers are reused and only
+/// grow when a longer sequence than the slot ever held arrives.
+#[derive(Debug, Default)]
 struct CachedSeq {
     rate: f64,
     n_active: usize,
@@ -323,25 +324,25 @@ struct CachedSeq {
 }
 
 impl CachedSeq {
-    fn from_seq(seq: &StateSequence) -> Self {
+    /// Overwrite this entry with `seq`, recycling `meta` and `flat`.
+    fn fill_from(&mut self, seq: &StateSequence) {
         let n = seq.n_active;
-        let mut meta = Vec::with_capacity(seq.states.len());
-        let mut flat = Vec::with_capacity(2 * n * seq.states.len());
+        self.rate = seq.rate;
+        self.n_active = n;
+        self.layer_rate = seq.layer_rate;
+        self.slope = seq.slope;
+        self.k1 = seq.k1;
+        self.meta.clear();
+        self.flat.clear();
+        // Exact, so a slot's buffers end at the largest sequence it held.
+        self.meta.reserve_exact(seq.states.len());
+        self.flat.reserve_exact(2 * n * seq.states.len());
         for st in &seq.states {
             debug_assert_eq!(st.raw_per_layer.len(), n);
             debug_assert_eq!(st.per_layer.len(), n);
-            meta.push((st.scenario, st.k));
-            flat.extend_from_slice(&st.raw_per_layer);
-            flat.extend_from_slice(&st.per_layer);
-        }
-        CachedSeq {
-            rate: seq.rate,
-            n_active: n,
-            layer_rate: seq.layer_rate,
-            slope: seq.slope,
-            k1: seq.k1,
-            meta,
-            flat,
+            self.meta.push((st.scenario, st.k));
+            self.flat.extend_from_slice(&st.raw_per_layer);
+            self.flat.extend_from_slice(&st.per_layer);
         }
     }
 
@@ -376,28 +377,50 @@ impl CachedSeq {
     }
 }
 
-/// Memo cache for [`StateSequence`] derivations, keyed by the exact
-/// operating point `(rate, n_active, C, S, k_horizon)`.
+/// One memo slot: the key it currently holds, its cached sequence, and
+/// the CLOCK reference bit.
+#[derive(Debug)]
+struct Slot {
+    key: GeoKey,
+    /// Set by every hit, cleared when the hand sweeps past: a slot hit
+    /// since the hand last passed it gets a second chance.
+    referenced: bool,
+    seq: CachedSeq,
+}
+
+/// Bounded memo cache for [`StateSequence`] derivations, keyed by the
+/// exact operating point `(rate, n_active, C, S, k_horizon, factor)`.
 ///
 /// Grid sweeps re-derive identical sequences whenever two sessions (or two
 /// ticks) pass through the same operating point — replayed cells hit on
 /// every tick, first-run cells on repeated rates (rate caps, pre-start
 /// defaults, drain plateaus). One cache is meant to be shared per campaign
 /// *worker* (wrapped in `Arc<Mutex<_>>`, see [`SharedGeometryCache`]) and
-/// live as long as the worker's world pool; entries are immutable once
-/// inserted and the population is capped, so memory stays bounded on
-/// grids whose operating points never repeat.
+/// live as long as the worker's world pool.
+///
+/// The memo holds at most [`MAX_ENTRIES`](Self::MAX_ENTRIES) slots and
+/// evicts with CLOCK (second chance): a hit sets the slot's reference bit;
+/// once the memo is full, each admission advances the hand past referenced
+/// slots (clearing their bits) and evicts the first unreferenced one. The
+/// newcomer is refilled into the victim's buffers in place, so steady-state
+/// admissions do not allocate and the footprint stays near 130 KB however
+/// many operating points a worker's sessions visit
+/// (`crates/bench/tests/memo_footprint.rs` gates it). The bound matters
+/// because a worker keeps its memo for life, so every byte it retains is
+/// charged to each session the worker runs.
 #[derive(Debug, Default)]
 pub struct GeometryCache {
-    map: HashMap<GeoKey, CachedSeq>,
+    /// Key → index into `slots`.
+    index: HashMap<GeoKey, usize>,
+    /// Cached sequences; grows to `MAX_ENTRIES`, then is refilled in place.
+    slots: Vec<Slot>,
+    /// CLOCK hand: the next slot the eviction sweep examines.
+    hand: usize,
     /// Two-touch admission filter: keys missed exactly once so far. A
-    /// sequence is cloned into `map` only on its *second* miss — an
+    /// sequence is copied into a slot only on its *second* miss — an
     /// operating point seen once and never again (seed-dependent transient
     /// rates make up most of a session's misses) costs one `HashSet` entry
-    /// instead of a full `StateSequence` clone. Warm campaign workers
-    /// previously cloned ~2.6k never-reused sequences per session into
-    /// the shared memo; admission-on-reuse removes those allocations
-    /// without changing any hit result.
+    /// and never evicts anything.
     seen_once: HashSet<GeoKey>,
     hits: u64,
     misses: u64,
@@ -408,10 +431,9 @@ pub struct GeometryCache {
 pub type SharedGeometryCache = Arc<Mutex<GeometryCache>>;
 
 impl GeometryCache {
-    /// Entries kept at most; past this population, misses still rebuild
-    /// correctly but are no longer inserted (the sweep's operating points
-    /// evidently do not repeat, so growing further buys nothing).
-    pub const MAX_ENTRIES: usize = 4096;
+    /// Slots kept at most. Past this population every admission evicts
+    /// one slot, chosen by the CLOCK hand.
+    pub const MAX_ENTRIES: usize = 64;
 
     /// Admission-filter population cap. When the filter fills up it is
     /// cleared wholesale — repeat keys then need two fresh misses to be
@@ -434,20 +456,21 @@ impl GeometryCache {
         (self.hits, self.misses)
     }
 
-    /// Cached operating points.
+    /// Cached operating points (never more than [`Self::MAX_ENTRIES`]).
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// True when nothing has been memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 
     /// [`StateSequence::rebuild`] through the memo: on a hit, `seq` is
     /// overwritten from the cached copy (recycling its allocations); on a
-    /// miss it is rebuilt and the result memoized. The value of `seq`
-    /// afterwards is bit-identical to an uncached rebuild either way.
+    /// miss it is rebuilt and, on the key's second miss, memoized. The
+    /// value of `seq` afterwards is bit-identical to an uncached rebuild
+    /// either way.
     pub fn rebuild_memoized(
         &mut self,
         seq: &mut StateSequence,
@@ -482,24 +505,53 @@ impl GeometryCache {
             k_horizon,
             decrease_factor_bits: decrease_factor.to_bits(),
         };
-        if let Some(cached) = self.map.get(&key) {
+        if let Some(&i) = self.index.get(&key) {
             self.hits += 1;
             laqa_obs::counter!("qa.geometry_cache.hits").inc();
-            cached.write_into(seq);
+            let slot = &mut self.slots[i];
+            slot.referenced = true;
+            slot.seq.write_into(seq);
             return;
         }
         self.misses += 1;
         laqa_obs::counter!("qa.geometry_cache.misses").inc();
         seq.rebuild_with(rate, n_active, layer_rate, slope, k_horizon, decrease_factor);
-        if self.map.len() < Self::MAX_ENTRIES && self.seen_once.remove(&key) {
-            laqa_obs::counter!("qa.geometry_cache.admissions").inc();
-            self.map.insert(key, CachedSeq::from_seq(seq));
-        } else if self.map.len() < Self::MAX_ENTRIES {
+        if self.seen_once.remove(&key) {
+            self.admit(key, seq);
+        } else {
             if self.seen_once.len() >= Self::MAX_SEEN_ONCE {
                 self.seen_once.clear();
             }
             self.seen_once.insert(key);
         }
+    }
+
+    /// Memoize `seq` under `key`: into a fresh slot while the memo is
+    /// below capacity, otherwise in place over the CLOCK victim.
+    fn admit(&mut self, key: GeoKey, seq: &StateSequence) {
+        laqa_obs::counter!("qa.geometry_cache.admissions").inc();
+        let victim = if self.slots.len() < Self::MAX_ENTRIES {
+            self.slots.push(Slot {
+                key,
+                referenced: false,
+                seq: CachedSeq::default(),
+            });
+            self.slots.len() - 1
+        } else {
+            while self.slots[self.hand].referenced {
+                self.slots[self.hand].referenced = false;
+                self.hand = (self.hand + 1) % self.slots.len();
+            }
+            let victim = self.hand;
+            self.hand = (victim + 1) % self.slots.len();
+            laqa_obs::counter!("qa.geometry_cache.evictions").inc();
+            let slot = &mut self.slots[victim];
+            self.index.remove(&slot.key);
+            slot.key = key;
+            victim
+        };
+        self.slots[victim].seq.fill_from(seq);
+        self.index.insert(key, victim);
     }
 }
 
@@ -729,5 +781,101 @@ mod tests {
         // A different one-shot key still stays out of the memo.
         probe(&mut cache, &mut seq, 41_000.0);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Miss `rate`'s key twice so it is admitted (or already cached).
+    fn admit(cache: &mut GeometryCache, seq: &mut StateSequence, rate: f64) {
+        cache.rebuild_memoized(seq, rate, 3, C, S, 5);
+        cache.rebuild_memoized(seq, rate, 3, C, S, 5);
+    }
+
+    #[test]
+    fn geometry_cache_population_never_exceeds_capacity() {
+        let mut cache = GeometryCache::new();
+        let mut seq = StateSequence::default();
+        let keys = 10 * GeometryCache::MAX_ENTRIES;
+        for i in 0..keys {
+            admit(&mut cache, &mut seq, 20_000.0 + i as f64);
+            assert!(cache.len() <= GeometryCache::MAX_ENTRIES, "key {i}");
+            assert_eq!(cache.index.len(), cache.len());
+            assert!(cache.seen_once.len() <= GeometryCache::MAX_SEEN_ONCE);
+        }
+        assert_eq!(cache.len(), GeometryCache::MAX_ENTRIES);
+        assert_eq!(cache.stats(), (0, 2 * keys as u64));
+        // Every index entry points at the slot holding that key.
+        for (key, &i) in &cache.index {
+            assert_eq!(cache.slots[i].key, *key);
+        }
+    }
+
+    #[test]
+    fn geometry_cache_refill_in_place_matches_uncached_build() {
+        let cap = GeometryCache::MAX_ENTRIES;
+        let mut cache = GeometryCache::new();
+        let mut seq = StateSequence::default();
+        // (n_active, k_horizon, decrease factor) per phase: small, then
+        // large (longer meta, wider rows), then mid-sized, so every refill
+        // lands in a slot that last held a different shape.
+        let phases: [(usize, u32, f64); 3] = [(1, 2, 0.5), (5, 8, 0.7), (3, 4, 0.5)];
+        for (p, &(n, k, f)) in phases.iter().enumerate() {
+            let rate = |i: usize| 30_000.0 + (1000 * p + i) as f64;
+            let before: Vec<(usize, usize)> = cache
+                .slots
+                .iter()
+                .map(|s| (s.seq.n_active, s.seq.meta.len()))
+                .collect();
+            for i in 0..cap {
+                cache.rebuild_memoized_with(&mut seq, rate(i), n, C, S, k, f);
+                cache.rebuild_memoized_with(&mut seq, rate(i), n, C, S, k, f);
+            }
+            assert_eq!(cache.len(), cap);
+            // The whole previous phase was evicted: each slot was refilled
+            // over a sequence of another shape.
+            for (slot, (old_n, old_len)) in cache.slots.iter().zip(before) {
+                assert_eq!(slot.seq.n_active, n);
+                assert!(old_n != n && old_len != slot.seq.meta.len());
+            }
+            for i in 0..cap {
+                // Leave a different sequence in the scratch so the hit
+                // has to overwrite it.
+                seq.rebuild(90_000.0, 4, C, S, 6);
+                let (hits, _) = cache.stats();
+                cache.rebuild_memoized_with(&mut seq, rate(i), n, C, S, k, f);
+                assert_eq!(cache.stats().0, hits + 1, "phase {p} key {i} must hit");
+                assert_eq!(seq, StateSequence::build_with(rate(i), n, C, S, k, f));
+            }
+        }
+    }
+
+    #[test]
+    fn geometry_cache_clock_spares_recently_hit_key() {
+        let cap = GeometryCache::MAX_ENTRIES;
+        let mut cache = GeometryCache::new();
+        let mut seq = StateSequence::default();
+        let rate = |i: usize| 40_000.0 + i as f64;
+        for i in 0..cap {
+            admit(&mut cache, &mut seq, rate(i));
+        }
+        // Hit the slot under the hand: its reference bit is now set.
+        cache.rebuild_memoized(&mut seq, rate(0), 3, C, S, 5);
+        assert_eq!(cache.stats().0, 1);
+        // One full sweep: cap - 1 admissions pass the hand over every
+        // slot once, evicting each unreferenced key.
+        for i in 0..cap - 1 {
+            admit(&mut cache, &mut seq, rate(cap + i));
+        }
+        assert_eq!(cache.len(), cap);
+        cache.rebuild_memoized(&mut seq, rate(0), 3, C, S, 5);
+        assert_eq!(
+            cache.stats().0,
+            2,
+            "recently hit key must survive the sweep"
+        );
+        cache.rebuild_memoized(&mut seq, rate(1), 3, C, S, 5);
+        assert_eq!(
+            cache.stats().0,
+            2,
+            "unreferenced key must have been evicted"
+        );
     }
 }
